@@ -7,6 +7,7 @@ LOADTEST_WARMUP ?= 2s
 BENCHDIFF_BASE ?= origin/main
 BENCHDIFF_COUNT ?= 5
 BENCHDIFF_THRESHOLD ?= 0.15
+BENCHDIFF_BENCHES = BenchmarkSubmitHandler|BenchmarkJobsHandler|BenchmarkJobHandler|BenchmarkPlanEpoch
 
 .PHONY: all build test race vet fmtcheck bench benchdiff race-smoke fuzz loadtest loadtest-fleet verify corund clean
 
@@ -29,16 +30,18 @@ fmtcheck:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench runs the planning benchmarks of the policy engine and the
+# bench runs the planning benchmarks of the policy engine, the served
+# hcs+ epoch (profile -> model -> plan -> simulate) and the
 # append/recovery benchmarks of the state journal (no tests, with
 # allocation stats). BENCHTIME=1x gives a quick smoke run.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) \
-		./internal/policy/ ./internal/journal/
+		./internal/policy/ ./internal/online/ ./internal/journal/
 
 # benchdiff is the bench-regression gate: it checks out the merge base
 # of BENCHDIFF_BASE into a throwaway git worktree, runs the tier-1
-# serving-path microbenches there and at HEAD (BENCHDIFF_COUNT
+# serving-path microbenches and the served hcs+ epoch benchmark there
+# and at HEAD (BENCHDIFF_COUNT
 # repetitions each, medians compared), and fails on a
 # >BENCHDIFF_THRESHOLD regression in ns/op or B/op via the in-repo
 # cmd/benchdiff (a dependency-free benchstat stand-in).
@@ -49,10 +52,10 @@ benchdiff:
 	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
 	echo "benchdiff: baseline $$base"; \
 	git worktree add --detach "$$tmp/base" "$$base" >/dev/null; \
-	( cd "$$tmp/base" && $(GO) test -run='^$$' -bench='BenchmarkSubmitHandler|BenchmarkJobsHandler|BenchmarkJobHandler' \
-		-benchmem -count=$(BENCHDIFF_COUNT) ./internal/server/ ) > "$$tmp/old.txt"; \
-	$(GO) test -run='^$$' -bench='BenchmarkSubmitHandler|BenchmarkJobsHandler|BenchmarkJobHandler' \
-		-benchmem -count=$(BENCHDIFF_COUNT) ./internal/server/ > "$$tmp/new.txt"; \
+	( cd "$$tmp/base" && $(GO) test -run='^$$' -bench='$(BENCHDIFF_BENCHES)' \
+		-benchmem -count=$(BENCHDIFF_COUNT) ./internal/server/ ./internal/online/ ) > "$$tmp/old.txt"; \
+	$(GO) test -run='^$$' -bench='$(BENCHDIFF_BENCHES)' \
+		-benchmem -count=$(BENCHDIFF_COUNT) ./internal/server/ ./internal/online/ > "$$tmp/new.txt"; \
 	$(GO) run ./cmd/benchdiff -old "$$tmp/old.txt" -new "$$tmp/new.txt" \
 		-threshold $(BENCHDIFF_THRESHOLD) -metrics "ns/op,B/op"
 
@@ -96,11 +99,12 @@ fuzz:
 #
 # The shape below measures the *serving path*, so everything else is
 # kept off the critical core (the CI host has one):
-#   -policy random   planning cost ~65us/job instead of hcs+'s
-#                    ~300us-1.8ms/job; on a 1-CPU host hcs+ planning
-#                    monopolizes the core and the bench measures the
-#                    planner, not the serving path. Planning runs off
-#                    the request path either way (see DESIGN 2h).
+#   -policy random   a 64-job epoch costs ~25us/job instead of
+#                    hcs+'s ~105us/job (BenchmarkPlanEpoch, 2-vCPU
+#                    Xeon); on a 1-CPU host hcs+ planning competes
+#                    for the core and the bench measures the planner,
+#                    not the serving path. Planning runs off the
+#                    request path either way (see DESIGN 2h).
 #   -max-batch 64    drain headroom: epochs/s x batch must exceed the
 #                    accept rate or the queue bound backpressures.
 #   -max-queue 16384 absorbs the burstier accepted stream.

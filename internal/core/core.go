@@ -75,6 +75,15 @@ type Context struct {
 	// query: the memo tables assume it is fixed.
 	FreqStride int
 
+	// setupOnce builds the tables that hold for the context's whole
+	// life, on the first query (FreqStride and Domains are final by
+	// then): the frequency ladders, each job's degradation class, and
+	// the class count k.
+	setupOnce sync.Once
+	ladders   [apu.NumDevices][]int
+	cls       []int
+	k         int
+
 	// mu guards the memo tables; a Context may be shared by concurrent
 	// planners (e.g. evaluating refinement candidates in parallel) as
 	// long as the Oracle itself is safe for concurrent reads.
@@ -82,6 +91,11 @@ type Context struct {
 	pairMemo map[pairMemoKey]pairChoice
 	soloMemo map[soloMemoKey]soloChoice
 	msMemo   map[string]units.Seconds
+	// feasible and minDeg are indexed by class pair (see classPair):
+	// the cap-feasible operating points in traversal order (nil until
+	// built) and the memoized MinPairDegradation answer.
+	feasible [][]FreqPair
+	minDeg   []minDegChoice
 }
 
 // maxMakespanMemo bounds the predicted-makespan memo: the search
@@ -96,6 +110,11 @@ type pairChoice struct {
 	dc float64 // degradation of the CPU job
 	dg float64 // degradation of the GPU job
 	ok bool
+}
+
+type minDegChoice struct {
+	d       float64
+	ok, set bool
 }
 
 type soloMemoKey struct {
@@ -134,15 +153,82 @@ func (cx *Context) stride() int {
 	return cx.FreqStride
 }
 
+// classedOracle is the class extension the Context looks for on its
+// Oracle; it mirrors model.Classed without importing the package. Two
+// jobs of one class answer every query except StandaloneTime alike, so
+// anything computed from those answers may be shared across a class.
+type classedOracle interface {
+	DegradationClasses() []int
+}
+
+// setup builds the context's fixed tables once; see setupOnce.
+func (cx *Context) setup() {
+	cx.setupOnce.Do(func() {
+		for d := apu.CPU; d <= apu.GPU; d++ {
+			for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
+				cx.ladders[d] = append(cx.ladders[d], f)
+			}
+		}
+		if c, ok := cx.Oracle.(classedOracle); ok {
+			cx.cls = c.DegradationClasses()
+		} else {
+			cx.cls = make([]int, cx.Oracle.NumJobs())
+			for i := range cx.cls {
+				cx.cls[i] = i
+			}
+		}
+		for _, c := range cx.cls {
+			cx.k = max(cx.k, c+1)
+		}
+		cx.feasible = make([][]FreqPair, cx.k*cx.k)
+		cx.minDeg = make([]minDegChoice, cx.k*cx.k)
+	})
+}
+
 // freqLevels enumerates the frequency indices of device d the context
 // traverses: every stride-th level counted down from the maximum, so
-// the top level is always included.
+// the top level is always included. The slice is shared; do not modify
+// it.
 func (cx *Context) freqLevels(d apu.Device) []int {
-	var out []int
-	for f := cx.Cfg.MaxFreqIndex(d); f >= 0; f -= cx.stride() {
-		out = append(out, f)
+	cx.setup()
+	return cx.ladders[d]
+}
+
+// classPair indexes the class-pair tables for CPU job c beside GPU job
+// g.
+func (cx *Context) classPair(c, g int) int {
+	cx.setup()
+	return cx.cls[c]*cx.k + cx.cls[g]
+}
+
+// feasiblePairs returns the operating points of CPU job c beside GPU
+// job g that fit every configured constraint (see pairFits), in the
+// traversal order of section IV-A.2: CPU level outer, GPU level inner,
+// both descending. Feasibility reads only the jobs' powers, so the
+// list is built once per class pair and shared; it lives as long as
+// the context, whose caps are fixed. The slice is shared; do not
+// modify it.
+func (cx *Context) feasiblePairs(c, g int) []FreqPair {
+	k := cx.classPair(c, g)
+	cx.mu.Lock()
+	pts := cx.feasible[k]
+	cx.mu.Unlock()
+	if pts != nil {
+		return pts
 	}
-	return out
+	cpu, gpu := cx.freqLevels(apu.CPU), cx.freqLevels(apu.GPU)
+	pts = make([]FreqPair, 0, len(cpu)*len(gpu))
+	for _, fc := range cpu {
+		for _, fg := range gpu {
+			if !cx.Capped() || cx.pairFits(c, fc, g, fg) {
+				pts = append(pts, FreqPair{fc, fg})
+			}
+		}
+	}
+	cx.mu.Lock()
+	cx.feasible[k] = pts
+	cx.mu.Unlock()
+	return pts
 }
 
 // Capped reports whether any power constraint is in force — the
@@ -332,20 +418,15 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 	}
 	best := pairChoice{}
 	bestScore := -1.0
-	for _, fc := range cx.freqLevels(apu.CPU) {
-		for _, fg := range cx.freqLevels(apu.GPU) {
-			if cx.Capped() && !cx.pairFits(c, fc, g, fg) {
-				continue
-			}
-			dc := o.Degradation(c, apu.CPU, fc, g, fg)
-			dg := o.Degradation(g, apu.GPU, fg, c, fc)
-			tc := float64(o.StandaloneTime(c, apu.CPU, fc)) * (1 + dc)
-			tg := float64(o.StandaloneTime(g, apu.GPU, fg)) * (1 + dg)
-			score := float64(refC)/tc + float64(refG)/tg
-			if score > bestScore {
-				bestScore = score
-				best = pairChoice{fp: FreqPair{fc, fg}, dc: dc, dg: dg, ok: true}
-			}
+	for _, fp := range cx.feasiblePairs(c, g) {
+		dc := o.Degradation(c, apu.CPU, fp.CPU, g, fp.GPU)
+		dg := o.Degradation(g, apu.GPU, fp.GPU, c, fp.CPU)
+		tc := float64(o.StandaloneTime(c, apu.CPU, fp.CPU)) * (1 + dc)
+		tg := float64(o.StandaloneTime(g, apu.GPU, fp.GPU)) * (1 + dg)
+		score := float64(refC)/tc + float64(refG)/tg
+		if score > bestScore {
+			bestScore = score
+			best = pairChoice{fp: fp, dc: dc, dg: dg, ok: true}
 		}
 	}
 	return best
@@ -354,21 +435,26 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 // MinPairDegradation returns the minimal combined degradation (d_c +
 // d_g) over all cap-feasible frequency pairs for CPU job c beside GPU
 // job g — the interference metric of step 3. ok is false when no
-// feasible pair exists.
+// feasible pair exists. The answer reads only degradations, so it is
+// memoized per class pair.
 func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
+	k := cx.classPair(c, g)
+	cx.mu.Lock()
+	v := cx.minDeg[k]
+	cx.mu.Unlock()
+	if v.set {
+		return v.d, v.ok
+	}
 	o := cx.Oracle
-	best := 0.0
-	found := false
-	for _, fc := range cx.freqLevels(apu.CPU) {
-		for _, fg := range cx.freqLevels(apu.GPU) {
-			if cx.Capped() && !cx.pairFits(c, fc, g, fg) {
-				continue
-			}
-			d := o.Degradation(c, apu.CPU, fc, g, fg) + o.Degradation(g, apu.GPU, fg, c, fc)
-			if !found || d < best {
-				best, found = d, true
-			}
+	v.set = true
+	for _, fp := range cx.feasiblePairs(c, g) {
+		d := o.Degradation(c, apu.CPU, fp.CPU, g, fp.GPU) + o.Degradation(g, apu.GPU, fp.GPU, c, fp.CPU)
+		if !v.ok || d < v.d {
+			v.d, v.ok = d, true
 		}
 	}
-	return best, found
+	cx.mu.Lock()
+	cx.minDeg[k] = v
+	cx.mu.Unlock()
+	return v.d, v.ok
 }

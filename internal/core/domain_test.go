@@ -105,3 +105,55 @@ func TestBestSoloFreqPlaneCap(t *testing.T) {
 		t.Errorf("PP0 cap moved the GPU solo choice to %d,%v", gf, ok)
 	}
 }
+
+// Step 1 must test co-run feasibility against every configured cap,
+// not the package cap alone. At 15 W streamcluster and lud each gain
+// from co-running with the other; a 5 W PP0 cap leaves no
+// plane-feasible co-run that beats running them back to back, so both
+// move to S_seq. A partition that checked only the package draw kept
+// them in S_co.
+func TestPartitionHonorsPlaneCap(t *testing.T) {
+	b8 := workload.Batch8()
+	batch := []*workload.Instance{
+		{ID: 0, Prog: b8[0].Prog, Scale: 1, Label: b8[0].Label},
+		{ID: 1, Prog: b8[5].Prog, Scale: 1, Label: b8[5].Label},
+	}
+	pkg, _ := testContext(t, batch, 15)
+	if p := pkg.PartitionJobs(); len(p.SCo) != 2 {
+		t.Fatalf("15 W partition %+v: want both jobs in S_co", p)
+	}
+	plane, _ := testContext(t, batch, 15)
+	plane.Domains = apu.DomainCaps{PP0: 5}
+	if p := plane.PartitionJobs(); len(p.SSeq) != 2 {
+		t.Fatalf("15 W + 5 W PP0 partition %+v: want both jobs in S_seq", p)
+	}
+
+	// The plane-capped answer is the right one: every co-run that beats
+	// sequential execution draws more than the PP0 cap allows, and at
+	// least one of them fits the package cap.
+	o := plane.Oracle
+	_, _, seq0, _ := plane.BestSoloAnywhere(0)
+	_, _, seq1, _ := plane.BestSoloAnywhere(1)
+	packageOnly := 0
+	for _, cg := range [][2]int{{0, 1}, {1, 0}} {
+		c, g := cg[0], cg[1]
+		for fc := 0; fc < plane.Cfg.NumFreqs(apu.CPU); fc++ {
+			for fg := 0; fg < plane.Cfg.NumFreqs(apu.GPU); fg++ {
+				ms := NaivePairMakespan(o.StandaloneTime(c, apu.CPU, fc), o.StandaloneTime(g, apu.GPU, fg),
+					o.Degradation(c, apu.CPU, fc, g, fg), o.Degradation(g, apu.GPU, fg, c, fc))
+				if ms >= seq0+seq1 {
+					continue
+				}
+				if plane.pairFits(c, fc, g, fg) {
+					t.Fatalf("co-run (%d@%d, %d@%d) beats sequential and fits every cap", c, fc, g, fg)
+				}
+				if o.CoRunPower(c, fc, g, fg) <= 15 {
+					packageOnly++
+				}
+			}
+		}
+	}
+	if packageOnly == 0 {
+		t.Error("no beneficial co-run fits the package cap; the case does not exercise the plane cap")
+	}
+}

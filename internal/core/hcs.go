@@ -165,9 +165,14 @@ func (cx *Context) HCS(opts HCSOptions) (*Schedule, error) {
 // sets with the least-interference job.
 func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, error) {
 	s := &Schedule{Exclusive: map[int]bool{}}
-	remaining := map[int]bool{}
-	for _, j := range sco {
-		remaining[j] = true
+	// remaining lists the unassigned jobs in ascending order, so every
+	// walk over it — candidate lists and the float sums of the steal
+	// guard — runs in the same order on every call.
+	remaining := append([]int(nil), sco...)
+	sort.Ints(remaining)
+	take := func(j int) {
+		i := sort.SearchInts(remaining, j)
+		remaining = append(remaining[:i], remaining[i+1:]...)
 	}
 
 	var cpuRun, gpuRun *plannedJob
@@ -182,7 +187,7 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 				total += run.frac * float64(t)
 			}
 		}
-		for j := range remaining {
+		for _, j := range remaining {
 			if j == exclude {
 				continue
 			}
@@ -281,14 +286,14 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 		if gpuRun == nil {
 			if j := pick(apu.GPU, cpuRun); j >= 0 {
 				gpuRun = &plannedJob{idx: j, frac: 1}
-				delete(remaining, j)
+				take(j)
 				s.GPUOrder = append(s.GPUOrder, j)
 			}
 		}
 		if cpuRun == nil {
 			if j := pick(apu.CPU, gpuRun); j >= 0 {
 				cpuRun = &plannedJob{idx: j, frac: 1}
-				delete(remaining, j)
+				take(j)
 				s.CPUOrder = append(s.CPUOrder, j)
 			}
 		}
@@ -354,21 +359,21 @@ func otherPreference(dev apu.Device) Preference {
 // candidates lists the remaining jobs in the preference order of the
 // device: its preferred set first, then non-preferred, then the other
 // device's preferred set (step 3's scheduling rule). It also reports
-// which class the candidates came from.
-func (cx *Context) candidates(dev apu.Device, remaining map[int]bool, prefs map[int]Preference) ([]int, Preference) {
+// which class the candidates came from. The list keeps remaining's
+// ascending order.
+func (cx *Context) candidates(dev apu.Device, remaining []int, prefs map[int]Preference) ([]int, Preference) {
 	mine := CPUPreferred
 	if dev == apu.GPU {
 		mine = GPUPreferred
 	}
 	for _, want := range []Preference{mine, NonPreferred, otherPreference(dev)} {
 		var out []int
-		for j := range remaining {
+		for _, j := range remaining {
 			if prefs[j] == want {
 				out = append(out, j)
 			}
 		}
 		if len(out) > 0 {
-			sort.Ints(out) // determinism
 			return out, want
 		}
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"corun/internal/apu"
+	"corun/internal/model"
 	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -409,5 +412,48 @@ func TestExplainPlan(t *testing.T) {
 	// Bad schedules are rejected.
 	if err := cx.ExplainPlan(&b, &Schedule{CPUOrder: []int{0, 0}, Exclusive: map[int]bool{}}, labels); err == nil {
 		t.Error("invalid schedule accepted")
+	}
+}
+
+// Planning must be a pure function of the batch and the seed: the
+// greedy step's steal guard compares float sums, so those sums must not
+// depend on map iteration order. Twenty replans of a seeded 64-job
+// batch on fresh contexts (each over a fresh memo, as a served epoch
+// plans) agree on the plan and on the predicted makespan's bits.
+func TestHCSPlusDeterministicAcrossContexts(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	names := workload.Names()
+	batch := make([]*workload.Instance, 64)
+	for i := range batch {
+		prog, err := workload.ByName(names[rng.Intn(len(names))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = &workload.Instance{ID: i, Prog: prog, Scale: 0.8 + 0.5*rng.Float64(), Label: prog.Name}
+	}
+	var wantPlan string
+	var wantBits uint64
+	for rep := 0; rep < 20; rep++ {
+		raw, _ := testContext(t, batch, 15)
+		cached, err := model.NewCachedPredictor(raw.Oracle.(model.Oracle), raw.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cx, err := NewContext(cached, raw.Cfg, 15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ms, err := cx.HCSPlus(HCSOptions{}, RefineOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, bits := s.String(), math.Float64bits(float64(ms))
+		if rep == 0 {
+			wantPlan, wantBits = plan, bits
+			continue
+		}
+		if plan != wantPlan || bits != wantBits {
+			t.Fatalf("replan %d: %s @ %v, first plan %s @ %v", rep, plan, ms, wantPlan, math.Float64frombits(wantBits))
+		}
 	}
 }

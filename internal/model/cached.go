@@ -26,14 +26,20 @@ type Oracle interface {
 // per query and the GroundTruthOracle a whole co-run simulation, and
 // every planning pass (epoch after epoch in corund, permutation after
 // permutation in the optimal search) asks for the same pairs again.
-// The memo is a dense lock-free table indexed by (job, device, level,
-// co-runner, level), so a hit costs two atomic loads — a mutex-guarded
-// map would cost more than recomputing the prediction. The remaining
-// oracle queries are pure table reads (StandaloneTime/Power, and
-// CoRunPower, which is the standalone-power sum) at ~4 ns each; they
-// are delegated uncached because no memo can beat them.
+// The memo is a dense lock-free table indexed by (class, device, level,
+// co-runner class, level), so a hit costs two atomic loads — a
+// mutex-guarded map would cost more than recomputing the prediction.
+// The remaining oracle queries are pure table reads (StandaloneTime/
+// Power, and CoRunPower, which is the standalone-power sum) at ~4 ns
+// each; they are delegated uncached because no memo can beat them.
 //
-// It is safe for concurrent use. The memo keys on job indices and
+// The memo keys on degradation classes (see Classed), not job indices:
+// jobs of one class answer every Degradation query alike, so a batch
+// of 64 jobs from 8 programs fills an 8×8-class table once instead of
+// a 64×64-job table. An oracle that does not report classes gets one
+// class per job.
+//
+// It is safe for concurrent use. The memo keys on classes and
 // frequency levels only, which makes it cap-independent: changing the
 // power cap needs a new scheduling context but may keep the same
 // CachedPredictor. Re-profiling or re-characterizing invalidates the
@@ -41,9 +47,12 @@ type Oracle interface {
 type CachedPredictor struct {
 	base Oracle
 
-	// Dense memo geometry: jobs × devices × levels × jobs × levels,
-	// with one shared level stride covering both devices.
-	n, fmax int
+	// cls maps each job to its degradation class.
+	cls []int
+
+	// Dense memo geometry: classes × devices × levels × classes ×
+	// levels, with one shared level stride covering both devices.
+	k, fmax int
 
 	// state[k] is 1 once vals[k] holds Float64bits of the prediction.
 	// Writers store the value before the flag; with Go's sequentially
@@ -79,15 +88,17 @@ func NewCachedPredictor(base Oracle, cfg *apu.Config) (*CachedPredictor, error) 
 	if cfg == nil {
 		return nil, fmt.Errorf("model: nil machine config")
 	}
-	n := base.NumJobs()
-	fmax := cfg.NumFreqs(apu.CPU)
-	if g := cfg.NumFreqs(apu.GPU); g > fmax {
-		fmax = g
+	cls := jobClasses(base)
+	k := 0
+	for _, c := range cls {
+		k = max(k, c+1)
 	}
-	size := n * apu.NumDevices * fmax * n * fmax
+	fmax := max(cfg.NumFreqs(apu.CPU), cfg.NumFreqs(apu.GPU))
+	size := k * apu.NumDevices * fmax * k * fmax
 	return &CachedPredictor{
 		base:  base,
-		n:     n,
+		cls:   cls,
+		k:     k,
 		fmax:  fmax,
 		state: make([]atomic.Uint32, size),
 		vals:  make([]atomic.Uint64, size),
@@ -109,6 +120,12 @@ func Unwrap(o Oracle) Oracle {
 // NumJobs delegates to the base oracle.
 func (c *CachedPredictor) NumJobs() int { return c.base.NumJobs() }
 
+// DegradationClasses implements Classed with the classes the memo is
+// keyed by.
+func (c *CachedPredictor) DegradationClasses() []int {
+	return append([]int(nil), c.cls...)
+}
+
 // StandaloneTime delegates to the base oracle (a table read).
 func (c *CachedPredictor) StandaloneTime(i int, d apu.Device, f int) units.Seconds {
 	return c.base.StandaloneTime(i, d, f)
@@ -123,12 +140,13 @@ func (c *CachedPredictor) StandalonePower(i int, d apu.Device, f int) units.Watt
 // query lies outside the table (defensively: the planners only issue
 // in-range queries).
 func (c *CachedPredictor) slot(i int, dev apu.Device, f, j, g int) int {
-	if i < 0 || i >= c.n || j < 0 || j >= c.n ||
+	n := len(c.cls)
+	if i < 0 || i >= n || j < 0 || j >= n ||
 		f < 0 || f >= c.fmax || g < 0 || g >= c.fmax ||
 		dev != apu.CPU && dev != apu.GPU {
 		return -1
 	}
-	return ((((i*apu.NumDevices)+int(dev))*c.fmax+f)*c.n+j)*c.fmax + g
+	return ((((c.cls[i]*apu.NumDevices)+int(dev))*c.fmax+f)*c.k+c.cls[j])*c.fmax + g
 }
 
 // Degradation memoizes the base oracle's degradation prediction.

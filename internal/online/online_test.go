@@ -23,7 +23,7 @@ var (
 	charErr  error
 )
 
-func testOptions(t *testing.T, policy Policy) Options {
+func testOptions(t testing.TB, policy Policy) Options {
 	t.Helper()
 	cfg := apu.DefaultConfig()
 	mem := memsys.Default()
@@ -34,6 +34,21 @@ func testOptions(t *testing.T, policy Policy) Options {
 		t.Fatal(charErr)
 	}
 	return Options{Cfg: cfg, Mem: mem, Char: charVal, Cap: 15, Policy: policy, Seed: 1}
+}
+
+// seededBatch draws an n-job batch the way GenerateArrivals draws a
+// stream: programs uniform over the benchmark set, scales in [0.8, 1.3].
+func seededBatch(t testing.TB, n int, seed int64) []*workload.Instance {
+	t.Helper()
+	as, err := GenerateArrivals(n, 0, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]*workload.Instance, n)
+	for i, a := range as {
+		batch[i] = &workload.Instance{ID: i, Prog: a.Prog, Scale: a.Scale, Label: a.Label}
+	}
+	return batch
 }
 
 func TestGenerateArrivals(t *testing.T) {
