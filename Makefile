@@ -7,7 +7,8 @@ LOADTEST_WARMUP ?= 2s
 BENCHDIFF_BASE ?= origin/main
 BENCHDIFF_COUNT ?= 5
 BENCHDIFF_THRESHOLD ?= 0.15
-BENCHDIFF_BENCHES = BenchmarkSubmitHandler|BenchmarkJobsHandler|BenchmarkJobHandler|BenchmarkPlanEpoch
+BENCHDIFF_BENCHES = BenchmarkSubmitHandler|BenchmarkJobsHandler|BenchmarkJobHandler|BenchmarkPlanEpoch|BenchmarkPlanStages|BenchmarkStagedDegradation
+BENCHDIFF_PKGS = ./internal/server/ ./internal/online/ ./internal/core/ ./internal/model/
 
 .PHONY: all build test race vet fmtcheck bench benchdiff race-smoke fuzz loadtest loadtest-fleet verify corund clean
 
@@ -31,20 +32,24 @@ fmtcheck:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # bench runs the planning benchmarks of the policy engine, the served
-# hcs+ epoch (profile -> model -> plan -> simulate) and the
-# append/recovery benchmarks of the state journal (no tests, with
-# allocation stats). BENCHTIME=1x gives a quick smoke run.
+# hcs+ epoch (profile -> model -> plan -> simulate), its planning
+# stages (partition, greedy, refine), the staged interpolation's miss
+# path and the append/recovery benchmarks of the state journal (no
+# tests, with allocation stats). BENCHTIME=1x gives a quick smoke run.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) \
-		./internal/policy/ ./internal/online/ ./internal/journal/
+		./internal/policy/ ./internal/online/ ./internal/core/ \
+		./internal/model/ ./internal/journal/
 
 # benchdiff is the bench-regression gate: it checks out the merge base
 # of BENCHDIFF_BASE into a throwaway git worktree, runs the tier-1
-# serving-path microbenches and the served hcs+ epoch benchmark there
-# and at HEAD (BENCHDIFF_COUNT
-# repetitions each, medians compared), and fails on a
-# >BENCHDIFF_THRESHOLD regression in ns/op or B/op via the in-repo
-# cmd/benchdiff (a dependency-free benchstat stand-in).
+# serving-path microbenches, the served hcs+ epoch benchmark, its
+# planning stages and the staged interpolation's miss path there and
+# at HEAD (BENCHDIFF_COUNT repetitions each, medians compared), and
+# fails on a >BENCHDIFF_THRESHOLD regression in ns/op or B/op via the
+# in-repo cmd/benchdiff (a dependency-free benchstat stand-in). A
+# benchmark the baseline lacks is skipped, so a new one gates from the
+# next change on.
 benchdiff:
 	@set -e; \
 	base="$$(git merge-base HEAD $(BENCHDIFF_BASE) 2>/dev/null || git rev-parse HEAD~1)"; \
@@ -53,9 +58,9 @@ benchdiff:
 	echo "benchdiff: baseline $$base"; \
 	git worktree add --detach "$$tmp/base" "$$base" >/dev/null; \
 	( cd "$$tmp/base" && $(GO) test -run='^$$' -bench='$(BENCHDIFF_BENCHES)' \
-		-benchmem -count=$(BENCHDIFF_COUNT) ./internal/server/ ./internal/online/ ) > "$$tmp/old.txt"; \
+		-benchmem -count=$(BENCHDIFF_COUNT) $(BENCHDIFF_PKGS) ) > "$$tmp/old.txt"; \
 	$(GO) test -run='^$$' -bench='$(BENCHDIFF_BENCHES)' \
-		-benchmem -count=$(BENCHDIFF_COUNT) ./internal/server/ ./internal/online/ > "$$tmp/new.txt"; \
+		-benchmem -count=$(BENCHDIFF_COUNT) $(BENCHDIFF_PKGS) > "$$tmp/new.txt"; \
 	$(GO) run ./cmd/benchdiff -old "$$tmp/old.txt" -new "$$tmp/new.txt" \
 		-threshold $(BENCHDIFF_THRESHOLD) -metrics "ns/op,B/op"
 
@@ -99,12 +104,13 @@ fuzz:
 #
 # The shape below measures the *serving path*, so everything else is
 # kept off the critical core (the CI host has one):
-#   -policy random   a 64-job epoch costs ~25us/job instead of
-#                    hcs+'s ~105us/job (BenchmarkPlanEpoch, 2-vCPU
-#                    Xeon); on a 1-CPU host hcs+ planning competes
-#                    for the core and the bench measures the planner,
-#                    not the serving path. Planning runs off the
-#                    request path either way (see DESIGN 2h).
+#   -policy random   a 64-job epoch costs ~55us/job instead of
+#                    hcs+'s ~130us/job (BenchmarkPlanEpoch and the
+#                    same epoch under random, measured back to back
+#                    on a 2-vCPU Xeon); on a 1-CPU host hcs+ planning
+#                    competes for the core and the bench measures the
+#                    planner, not the serving path. Planning runs off
+#                    the request path either way (see DESIGN 2h).
 #   -max-batch 64    drain headroom: epochs/s x batch must exceed the
 #                    accept rate or the queue bound backpressures.
 #   -max-queue 16384 absorbs the burstier accepted stream.

@@ -91,11 +91,11 @@ type Context struct {
 	pairMemo map[pairMemoKey]pairChoice
 	soloMemo map[soloMemoKey]soloChoice
 	msMemo   map[string]units.Seconds
-	// feasible and minDeg are indexed by class pair (see classPair):
-	// the cap-feasible operating points in traversal order (nil until
-	// built) and the memoized MinPairDegradation answer.
-	feasible [][]FreqPair
-	minDeg   []minDegChoice
+	// points and minDeg are indexed by class pair (see classPair): the
+	// cap-feasible operating points in traversal order and the memoized
+	// MinPairDegradation answer.
+	points []pairPoints
+	minDeg []minDegChoice
 }
 
 // maxMakespanMemo bounds the predicted-makespan memo: the search
@@ -111,6 +111,19 @@ type pairChoice struct {
 	dg float64 // degradation of the GPU job
 	ok bool
 }
+
+// pairPoints is one class pair's table: its cap-feasible operating
+// points in traversal order (nil until built) and the pair's predicted
+// degradations at each point (nil until the first full scan fills
+// them). Neither slice is modified once published.
+type pairPoints struct {
+	pts  []FreqPair
+	degs []pairDeg
+}
+
+// pairDeg holds the degradations of the CPU job (dc) and the GPU job
+// (dg) at one operating point.
+type pairDeg struct{ dc, dg float64 }
 
 type minDegChoice struct {
 	d       float64
@@ -180,7 +193,7 @@ func (cx *Context) setup() {
 		for _, c := range cx.cls {
 			cx.k = max(cx.k, c+1)
 		}
-		cx.feasible = make([][]FreqPair, cx.k*cx.k)
+		cx.points = make([]pairPoints, cx.k*cx.k)
 		cx.minDeg = make([]minDegChoice, cx.k*cx.k)
 	})
 }
@@ -211,7 +224,7 @@ func (cx *Context) classPair(c, g int) int {
 func (cx *Context) feasiblePairs(c, g int) []FreqPair {
 	k := cx.classPair(c, g)
 	cx.mu.Lock()
-	pts := cx.feasible[k]
+	pts := cx.points[k].pts
 	cx.mu.Unlock()
 	if pts != nil {
 		return pts
@@ -226,9 +239,37 @@ func (cx *Context) feasiblePairs(c, g int) []FreqPair {
 		}
 	}
 	cx.mu.Lock()
-	cx.feasible[k] = pts
+	cx.points[k].pts = pts
 	cx.mu.Unlock()
 	return pts
+}
+
+// scoredPairs returns feasiblePairs together with the pair's predicted
+// degradations at each point. Jobs of one class answer Degradation
+// alike, so the first full scan of a class pair reads them through the
+// oracle and every later scan, for any job pair of those classes,
+// reads the table. Both slices are shared; do not modify them.
+func (cx *Context) scoredPairs(c, g int) ([]FreqPair, []pairDeg) {
+	k := cx.classPair(c, g)
+	cx.mu.Lock()
+	t := cx.points[k]
+	cx.mu.Unlock()
+	if t.degs != nil {
+		return t.pts, t.degs
+	}
+	o := cx.Oracle
+	pts := cx.feasiblePairs(c, g)
+	degs := make([]pairDeg, len(pts))
+	for i, fp := range pts {
+		degs[i] = pairDeg{
+			dc: o.Degradation(c, apu.CPU, fp.CPU, g, fp.GPU),
+			dg: o.Degradation(g, apu.GPU, fp.GPU, c, fp.CPU),
+		}
+	}
+	cx.mu.Lock()
+	cx.points[k].degs = degs
+	cx.mu.Unlock()
+	return pts, degs
 }
 
 // Capped reports whether any power constraint is in force — the
@@ -418,15 +459,15 @@ func (cx *Context) choosePairFreqsUncached(c, g int) pairChoice {
 	}
 	best := pairChoice{}
 	bestScore := -1.0
-	for _, fp := range cx.feasiblePairs(c, g) {
-		dc := o.Degradation(c, apu.CPU, fp.CPU, g, fp.GPU)
-		dg := o.Degradation(g, apu.GPU, fp.GPU, c, fp.CPU)
-		tc := float64(o.StandaloneTime(c, apu.CPU, fp.CPU)) * (1 + dc)
-		tg := float64(o.StandaloneTime(g, apu.GPU, fp.GPU)) * (1 + dg)
+	pts, degs := cx.scoredPairs(c, g)
+	for i, fp := range pts {
+		d := degs[i]
+		tc := float64(o.StandaloneTime(c, apu.CPU, fp.CPU)) * (1 + d.dc)
+		tg := float64(o.StandaloneTime(g, apu.GPU, fp.GPU)) * (1 + d.dg)
 		score := float64(refC)/tc + float64(refG)/tg
 		if score > bestScore {
 			bestScore = score
-			best = pairChoice{fp: fp, dc: dc, dg: dg, ok: true}
+			best = pairChoice{fp: fp, dc: d.dc, dg: d.dg, ok: true}
 		}
 	}
 	return best
@@ -445,10 +486,10 @@ func (cx *Context) MinPairDegradation(c, g int) (float64, bool) {
 	if v.set {
 		return v.d, v.ok
 	}
-	o := cx.Oracle
 	v.set = true
-	for _, fp := range cx.feasiblePairs(c, g) {
-		d := o.Degradation(c, apu.CPU, fp.CPU, g, fp.GPU) + o.Degradation(g, apu.GPU, fp.GPU, c, fp.CPU)
+	_, degs := cx.scoredPairs(c, g)
+	for _, pd := range degs {
+		d := pd.dc + pd.dg
 		if !v.ok || d < v.d {
 			v.d, v.ok = d, true
 		}

@@ -19,7 +19,7 @@ var (
 )
 
 // testChar caches the characterization pass across tests.
-func testChar(t *testing.T) *model.Characterization {
+func testChar(t testing.TB) *model.Characterization {
 	t.Helper()
 	charOnce.Do(func() {
 		sharedChar, charErr = model.Characterize(model.CharacterizeOptions{
@@ -33,7 +33,7 @@ func testChar(t *testing.T) *model.Characterization {
 }
 
 // testContext assembles the full prediction pipeline for a batch.
-func testContext(t *testing.T, batch []*workload.Instance, cap units.Watts) (*Context, ExecOptions) {
+func testContext(t testing.TB, batch []*workload.Instance, cap units.Watts) (*Context, ExecOptions) {
 	t.Helper()
 	cfg := apu.DefaultConfig()
 	mem := memsys.Default()

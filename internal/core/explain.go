@@ -63,99 +63,57 @@ func (cx *Context) ExplainPlan(w io.Writer, s *Schedule, labels []string) error 
 // explainTimeline replays the predicted schedule and prints each
 // dispatch with its chosen frequencies and predicted degradations.
 func (cx *Context) explainTimeline(w io.Writer, s *Schedule, name func(int) string) error {
-	cpuQ := append([]int(nil), s.CPUOrder...)
-	gpuQ := append([]int(nil), s.GPUOrder...)
-	var cpuRun, gpuRun *plannedJob
+	cpuQ, gpuQ := s.CPUOrder, s.GPUOrder
+	cpuRun, gpuRun := idle, idle
 	now := 0.0
 	for steps := 0; steps < 1<<16; steps++ {
-		if cpuRun == nil && len(cpuQ) > 0 && cx.mayDispatch(s, cpuQ[0], gpuRun) {
-			cpuRun = &plannedJob{idx: cpuQ[0], frac: 1}
+		if cpuRun.idx < 0 && len(cpuQ) > 0 && cx.mayDispatch(s, cpuQ[0], gpuRun.idx) {
+			cpuRun = start(cpuQ[0])
 			cpuQ = cpuQ[1:]
-			if err := cx.explainDispatch(w, now, apu.CPU, cpuRun, gpuRun, name); err != nil {
+			if err := cx.explainDispatch(w, now, apu.CPU, cpuRun.idx, gpuRun.idx, name); err != nil {
 				return err
 			}
 		}
-		if gpuRun == nil && len(gpuQ) > 0 && cx.mayDispatch(s, gpuQ[0], cpuRun) {
-			gpuRun = &plannedJob{idx: gpuQ[0], frac: 1}
+		if gpuRun.idx < 0 && len(gpuQ) > 0 && cx.mayDispatch(s, gpuQ[0], cpuRun.idx) {
+			gpuRun = start(gpuQ[0])
 			gpuQ = gpuQ[1:]
-			if err := cx.explainDispatch(w, now, apu.GPU, gpuRun, cpuRun, name); err != nil {
+			if err := cx.explainDispatch(w, now, apu.GPU, gpuRun.idx, cpuRun.idx, name); err != nil {
 				return err
 			}
 		}
-		if cpuRun == nil && gpuRun == nil {
+		if cpuRun.idx < 0 && gpuRun.idx < 0 {
 			return nil
 		}
-		ci, gi := -1, -1
-		if cpuRun != nil {
-			ci = cpuRun.idx
-		}
-		if gpuRun != nil {
-			gi = gpuRun.idx
-		}
-		fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
-		if !ok {
-			return fmt.Errorf("core: infeasible pairing (%d,%d)", ci, gi)
-		}
-		var cpuRate, gpuRate float64
-		if cpuRun != nil {
-			cpuRate = 1 / (float64(cx.Oracle.StandaloneTime(ci, apu.CPU, fp.CPU)) * (1 + dc))
-		}
-		if gpuRun != nil {
-			gpuRate = 1 / (float64(cx.Oracle.StandaloneTime(gi, apu.GPU, fp.GPU)) * (1 + dg))
-		}
-		dt := 0.0
-		switch {
-		case cpuRun != nil && gpuRun != nil:
-			dt = minPos(cpuRun.frac/cpuRate, gpuRun.frac/gpuRate)
-		case cpuRun != nil:
-			dt = cpuRun.frac / cpuRate
-		default:
-			dt = gpuRun.frac / gpuRate
+		dt, err := cx.step(&cpuRun, &gpuRun)
+		if err != nil {
+			return err
 		}
 		now += dt
-		if cpuRun != nil {
-			cpuRun.frac -= cpuRate * dt
-			if cpuRun.frac <= 1e-12 {
-				cpuRun = nil
-			}
-		}
-		if gpuRun != nil {
-			gpuRun.frac -= gpuRate * dt
-			if gpuRun.frac <= 1e-12 {
-				gpuRun = nil
-			}
-		}
 	}
 	return fmt.Errorf("core: explanation exceeded step limit")
 }
 
-func (cx *Context) explainDispatch(w io.Writer, now float64, dev apu.Device, run, other *plannedJob, name func(int) string) error {
-	ci, gi := -1, -1
-	if dev == apu.CPU {
-		ci = run.idx
-		if other != nil {
-			gi = other.idx
-		}
-	} else {
-		gi = run.idx
-		if other != nil {
-			ci = other.idx
-		}
+// explainDispatch reports job run starting on dev beside job other on
+// the other device (-1 when it is idle).
+func (cx *Context) explainDispatch(w io.Writer, now float64, dev apu.Device, run, other int, name func(int) string) error {
+	ci, gi := run, other
+	if dev == apu.GPU {
+		ci, gi = other, run
 	}
 	fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
 	if !ok {
 		return fmt.Errorf("core: infeasible pairing (%d,%d)", ci, gi)
 	}
 	beside := "idle"
-	if other != nil {
-		beside = name(other.idx)
+	if other >= 0 {
+		beside = name(other)
 	}
 	deg := dc
 	if dev == apu.GPU {
 		deg = dg
 	}
 	_, err := fmt.Fprintf(w, "  t=%7.1fs  %v <- %-16s beside %-16s freqs %v/%v  predicted degradation %.0f%%\n",
-		now, dev, name(run.idx), beside,
+		now, dev, name(run), beside,
 		cx.Cfg.Freq(apu.CPU, fp.CPU), cx.Cfg.Freq(apu.GPU, fp.GPU), 100*deg)
 	return err
 }

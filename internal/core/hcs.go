@@ -42,11 +42,35 @@ type Partition struct {
 
 // PartitionJobs applies the Co-Run Theorem over all partners,
 // placements, and cap-feasible frequency pairs (step 1, with the
-// IV-A.2 changes).
+// IV-A.2 changes): a job joins S_co if co-running it with some other
+// job, in either placement, beats running the two back to back.
+//
+// That relation is symmetric, so each unordered pair is tested at most
+// once. Jobs are scanned in index order and a scan stops at the first
+// partner found, which then joins S_co without a scan of its own. A
+// later job skips every earlier job whose scan already tested it and
+// failed — in particular every job whose full scan found no partner.
 func (cx *Context) PartitionJobs() Partition {
+	n := cx.Oracle.NumJobs()
+	// until[j] is how far job j's own scan got: j tested every partner
+	// below it, and all failed. It stays 0 for a job never scanned.
+	until := make([]int, n)
+	paired := make([]bool, n)
 	var p Partition
-	for i := 0; i < cx.Oracle.NumJobs(); i++ {
-		if cx.coRunEverBeneficial(i) {
+	for i := 0; i < n; i++ {
+		if !paired[i] {
+			until[i] = n
+			for j := 0; j < n; j++ {
+				if j == i || j < i && until[j] > i {
+					continue
+				}
+				if cx.pairEverBeneficial(i, j) || cx.pairEverBeneficial(j, i) {
+					until[i], paired[i], paired[j] = j, true, true
+					break
+				}
+			}
+		}
+		if paired[i] {
 			p.SCo = append(p.SCo, i)
 		} else {
 			p.SSeq = append(p.SSeq, i)
@@ -175,14 +199,14 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 		remaining = append(remaining[:i], remaining[i+1:]...)
 	}
 
-	var cpuRun, gpuRun *plannedJob
+	cpuRun, gpuRun := idle, idle
 
 	// remainingWorkOn estimates the other device's outstanding work:
 	// its running job's remaining time plus the best solo times of all
 	// still-unassigned jobs (which would otherwise run there).
-	remainingWorkOn := func(dev apu.Device, run *plannedJob, exclude int) float64 {
+	remainingWorkOn := func(dev apu.Device, run plannedJob, exclude int) float64 {
 		total := 0.0
-		if run != nil {
+		if run.idx >= 0 {
 			if t, ok := cx.BestSoloTime(run.idx, dev); ok {
 				total += run.frac * float64(t)
 			}
@@ -198,7 +222,7 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 		return total
 	}
 
-	pick := func(dev apu.Device, other *plannedJob) int {
+	pick := func(dev apu.Device, other plannedJob) int {
 		cand, class := cx.candidates(dev, remaining, prefs)
 		if len(cand) == 0 {
 			return -1
@@ -223,7 +247,7 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 					continue
 				}
 				est := float64(t)
-				if other != nil {
+				if other.idx >= 0 {
 					c, g := j, other.idx
 					if dev == apu.GPU {
 						c, g = other.idx, j
@@ -246,7 +270,7 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 			}
 			return best
 		}
-		if other == nil {
+		if other.idx < 0 {
 			// No co-runner: take the longest job to keep devices busy.
 			best, bestT := -1, -1.0
 			for _, j := range cand {
@@ -283,21 +307,21 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 	// GPU-preferred is empty.
 	const maxSteps = 1 << 20
 	for step := 0; step < maxSteps; step++ {
-		if gpuRun == nil {
+		if gpuRun.idx < 0 {
 			if j := pick(apu.GPU, cpuRun); j >= 0 {
-				gpuRun = &plannedJob{idx: j, frac: 1}
+				gpuRun = start(j)
 				take(j)
 				s.GPUOrder = append(s.GPUOrder, j)
 			}
 		}
-		if cpuRun == nil {
+		if cpuRun.idx < 0 {
 			if j := pick(apu.CPU, gpuRun); j >= 0 {
-				cpuRun = &plannedJob{idx: j, frac: 1}
+				cpuRun = start(j)
 				take(j)
 				s.CPUOrder = append(s.CPUOrder, j)
 			}
 		}
-		if cpuRun == nil && gpuRun == nil {
+		if cpuRun.idx < 0 && gpuRun.idx < 0 {
 			if len(remaining) == 0 {
 				return s, nil
 			}
@@ -305,44 +329,8 @@ func (cx *Context) greedyPlan(sco []int, prefs map[int]Preference) (*Schedule, e
 		}
 
 		// Advance predicted time to the earliest completion.
-		ci, gi := -1, -1
-		if cpuRun != nil {
-			ci = cpuRun.idx
-		}
-		if gpuRun != nil {
-			gi = gpuRun.idx
-		}
-		fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
-		if !ok {
-			return nil, fmt.Errorf("core: no feasible frequencies for pair (%d,%d)", ci, gi)
-		}
-		var cpuRate, gpuRate float64
-		if cpuRun != nil {
-			cpuRate = 1 / (float64(cx.Oracle.StandaloneTime(ci, apu.CPU, fp.CPU)) * (1 + dc))
-		}
-		if gpuRun != nil {
-			gpuRate = 1 / (float64(cx.Oracle.StandaloneTime(gi, apu.GPU, fp.GPU)) * (1 + dg))
-		}
-		dt := 0.0
-		switch {
-		case cpuRun != nil && gpuRun != nil:
-			dt = minPos(cpuRun.frac/cpuRate, gpuRun.frac/gpuRate)
-		case cpuRun != nil:
-			dt = cpuRun.frac / cpuRate
-		default:
-			dt = gpuRun.frac / gpuRate
-		}
-		if cpuRun != nil {
-			cpuRun.frac -= cpuRate * dt
-			if cpuRun.frac <= 1e-12 {
-				cpuRun = nil
-			}
-		}
-		if gpuRun != nil {
-			gpuRun.frac -= gpuRate * dt
-			if gpuRun.frac <= 1e-12 {
-				gpuRun = nil
-			}
+		if _, err := cx.step(&cpuRun, &gpuRun); err != nil {
+			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("core: greedy plan exceeded step limit")

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,29 @@ func TestRefineNeverWorsens(t *testing.T) {
 		if err := ref.Validate(len(batch)); err != nil {
 			t.Errorf("seed %d: refined schedule invalid: %v", seed, err)
 		}
+	}
+}
+
+// Refine swaps jobs in place on its own copy of the schedule; the
+// schedule it was given must come back untouched, whichever swaps it
+// kept.
+func TestRefineLeavesInputUnchanged(t *testing.T) {
+	batch := seededBatch(t, 64, 64)
+	cx, _ := testContext(t, batch, 15)
+	s, err := cx.HCS(HCSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := s.Clone()
+	ref, _, err := cx.Refine(s, RefineOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, orig) {
+		t.Errorf("Refine modified its input: %v, was %v", s, orig)
+	}
+	if ref.String() == orig.String() {
+		t.Error("refinement kept no swap; the case does not exercise the in-place swaps")
 	}
 }
 

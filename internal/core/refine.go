@@ -32,6 +32,10 @@ type RefineOptions struct {
 //
 // Every step keeps a swap only if the predicted makespan improves. The
 // cost is linear in the job count and the sample counts.
+//
+// Every move is a swap, which is its own inverse, so each candidate is
+// the working schedule with one swap applied in place, evaluated, and
+// swapped back unless it is better. The input schedule is not modified.
 func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Seconds, error) {
 	best := s.Clone()
 	bestT, err := cx.PredictedMakespan(best)
@@ -45,36 +49,32 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	try := func(mutate func(*Schedule)) {
-		cand := best.Clone()
-		mutate(cand)
-		t, err := cx.PredictedMakespan(cand)
+	// try swaps *a and *b, two entries of best's queues, and keeps the
+	// swap if it improves the predicted makespan. Swaps only permute a
+	// valid schedule, so candidates skip validation and the memo.
+	try := func(a, b *int) {
+		*a, *b = *b, *a
+		t, err := cx.predictedMakespanUncached(best)
 		if err == nil && t < bestT {
-			best, bestT = cand, t
+			bestT = t
+			return
 		}
+		*a, *b = *b, *a
 	}
 
 	// Step 1: adjacent swaps, CPU list then GPU list.
 	if !opts.SkipAdjacent {
-		for _, getQ := range []func(*Schedule) []int{
-			func(s *Schedule) []int { return s.CPUOrder },
-			func(s *Schedule) []int { return s.GPUOrder },
-		} {
-			for i := 0; i+1 < len(getQ(best)); i++ {
-				i := i
-				try(func(c *Schedule) {
-					q := getQ(c)
-					q[i], q[i+1] = q[i+1], q[i]
-				})
+		for _, q := range [][]int{best.CPUOrder, best.GPUOrder} {
+			for i := 0; i+1 < len(q); i++ {
+				try(&q[i], &q[i+1])
 			}
 		}
 	}
 
 	// Step 2: random in-device swaps.
 	for k := 0; !opts.SkipRandomInQueue && k < swaps; k++ {
-		useCPU := rng.Intn(2) == 0
 		q := best.CPUOrder
-		if !useCPU {
+		if rng.Intn(2) != 0 {
 			q = best.GPUOrder
 		}
 		if len(q) < 2 {
@@ -84,13 +84,7 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 		if i == j {
 			continue
 		}
-		try(func(c *Schedule) {
-			qq := c.CPUOrder
-			if !useCPU {
-				qq = c.GPUOrder
-			}
-			qq[i], qq[j] = qq[j], qq[i]
-		})
+		try(&q[i], &q[j])
 	}
 
 	// Step 3: random cross-device swaps.
@@ -99,9 +93,7 @@ func (cx *Context) Refine(s *Schedule, opts RefineOptions) (*Schedule, units.Sec
 			break
 		}
 		i, j := rng.Intn(len(best.CPUOrder)), rng.Intn(len(best.GPUOrder))
-		try(func(c *Schedule) {
-			c.CPUOrder[i], c.GPUOrder[j] = c.GPUOrder[j], c.CPUOrder[i]
-		})
+		try(&best.CPUOrder[i], &best.GPUOrder[j])
 	}
 
 	return best, bestT, nil

@@ -84,11 +84,18 @@ func (s *Schedule) String() string {
 	return fmt.Sprintf("CPU:%v GPU:%v", cpu, gpu)
 }
 
-// plannedJob tracks one job's progress in the predicted evaluator.
+// plannedJob tracks one job's progress in the predicted evaluators;
+// idx -1 marks an idle device.
 type plannedJob struct {
 	idx  int
 	frac float64 // fraction of the job's work still to do
 }
+
+// idle is the plannedJob of a device running nothing.
+var idle = plannedJob{idx: -1}
+
+// start returns job j at the beginning of its run.
+func start(j int) plannedJob { return plannedJob{idx: j, frac: 1} }
 
 // memoKey encodes the schedule's planning-relevant content — both
 // dispatch orders with per-job exclusivity marks — as the predicted-
@@ -114,9 +121,9 @@ func (s *Schedule) memoKey() string {
 // the two queues with the same dispatch and exclusivity rules the
 // executor uses, applying ChoosePairFreqs to every pairing and the
 // side-note partial-overlap arithmetic to every segment. It is the
-// objective function of the HCS+ refinement and of the search
-// policies, which revisit candidate schedules, so successful
-// evaluations are memoized (bounded; see maxMakespanMemo).
+// objective function of the search policies, which revisit candidate
+// schedules, so successful evaluations are memoized (bounded; see
+// maxMakespanMemo).
 func (cx *Context) PredictedMakespan(s *Schedule) (units.Seconds, error) {
 	if err := s.Validate(cx.Oracle.NumJobs()); err != nil {
 		return 0, err
@@ -140,96 +147,89 @@ func (cx *Context) PredictedMakespan(s *Schedule) (units.Seconds, error) {
 	return t, nil
 }
 
+// predictedMakespanUncached is PredictedMakespan for a schedule known
+// to be valid. It allocates nothing, so the refinement can call it on
+// every candidate.
 func (cx *Context) predictedMakespanUncached(s *Schedule) (units.Seconds, error) {
-	cpuQ := append([]int(nil), s.CPUOrder...)
-	gpuQ := append([]int(nil), s.GPUOrder...)
-	var cpuRun, gpuRun *plannedJob
+	cpuQ, gpuQ := s.CPUOrder, s.GPUOrder // the jobs not yet dispatched
+	cpu, gpu := idle, idle
 	now := 0.0
 
 	const maxSegments = 1 << 20
 	for seg := 0; seg < maxSegments; seg++ {
 		// Dispatch, honouring exclusivity.
-		if cpuRun == nil && len(cpuQ) > 0 {
-			head := cpuQ[0]
-			if cx.mayDispatch(s, head, gpuRun) {
-				cpuRun = &plannedJob{idx: head, frac: 1}
-				cpuQ = cpuQ[1:]
-			}
+		if cpu.idx < 0 && len(cpuQ) > 0 && cx.mayDispatch(s, cpuQ[0], gpu.idx) {
+			cpu = start(cpuQ[0])
+			cpuQ = cpuQ[1:]
 		}
-		if gpuRun == nil && len(gpuQ) > 0 {
-			head := gpuQ[0]
-			if cx.mayDispatch(s, head, cpuRun) {
-				gpuRun = &plannedJob{idx: head, frac: 1}
-				gpuQ = gpuQ[1:]
-			}
+		if gpu.idx < 0 && len(gpuQ) > 0 && cx.mayDispatch(s, gpuQ[0], cpu.idx) {
+			gpu = start(gpuQ[0])
+			gpuQ = gpuQ[1:]
 		}
-		if cpuRun == nil && gpuRun == nil {
+		if cpu.idx < 0 && gpu.idx < 0 {
 			if len(cpuQ) == 0 && len(gpuQ) == 0 {
 				return units.Seconds(now), nil
 			}
 			return 0, fmt.Errorf("core: schedule deadlocked with %d CPU / %d GPU jobs pending", len(cpuQ), len(gpuQ))
 		}
-
-		// Rates for the current pairing.
-		ci, gi := -1, -1
-		if cpuRun != nil {
-			ci = cpuRun.idx
-		}
-		if gpuRun != nil {
-			gi = gpuRun.idx
-		}
-		fp, dc, dg, ok := cx.ChoosePairFreqs(ci, gi)
-		if !ok {
-			return 0, fmt.Errorf("core: no cap-feasible frequencies for pair (%d,%d)", ci, gi)
-		}
-		var cpuRate, gpuRate float64 // fraction of job per second
-		if cpuRun != nil {
-			l := float64(cx.Oracle.StandaloneTime(ci, apu.CPU, fp.CPU)) * (1 + dc)
-			cpuRate = 1 / l
-		}
-		if gpuRun != nil {
-			l := float64(cx.Oracle.StandaloneTime(gi, apu.GPU, fp.GPU)) * (1 + dg)
-			gpuRate = 1 / l
-		}
-
-		// Advance to the earliest completion.
-		dt := 0.0
-		switch {
-		case cpuRun != nil && gpuRun != nil:
-			dt = minPos(cpuRun.frac/cpuRate, gpuRun.frac/gpuRate)
-		case cpuRun != nil:
-			dt = cpuRun.frac / cpuRate
-		default:
-			dt = gpuRun.frac / gpuRate
+		dt, err := cx.step(&cpu, &gpu)
+		if err != nil {
+			return 0, err
 		}
 		now += dt
-		if cpuRun != nil {
-			cpuRun.frac -= cpuRate * dt
-			if cpuRun.frac <= 1e-12 {
-				cpuRun = nil
-			}
-		}
-		if gpuRun != nil {
-			gpuRun.frac -= gpuRate * dt
-			if gpuRun.frac <= 1e-12 {
-				gpuRun = nil
-			}
-		}
 	}
 	return 0, fmt.Errorf("core: predicted evaluation exceeded segment limit")
 }
 
+// step advances the jobs running on the two devices (at least one of
+// them not idle) to the earliest completion, at the frequencies
+// ChoosePairFreqs picks for the pairing, and returns the time that
+// took. A job that completes becomes idle.
+func (cx *Context) step(cpu, gpu *plannedJob) (float64, error) {
+	fp, dc, dg, ok := cx.ChoosePairFreqs(cpu.idx, gpu.idx)
+	if !ok {
+		return 0, fmt.Errorf("core: no cap-feasible frequencies for pair (%d,%d)", cpu.idx, gpu.idx)
+	}
+	var cpuRate, gpuRate float64 // fraction of job per second
+	if cpu.idx >= 0 {
+		cpuRate = 1 / (float64(cx.Oracle.StandaloneTime(cpu.idx, apu.CPU, fp.CPU)) * (1 + dc))
+	}
+	if gpu.idx >= 0 {
+		gpuRate = 1 / (float64(cx.Oracle.StandaloneTime(gpu.idx, apu.GPU, fp.GPU)) * (1 + dg))
+	}
+	var dt float64
+	switch {
+	case cpu.idx >= 0 && gpu.idx >= 0:
+		dt = minPos(cpu.frac/cpuRate, gpu.frac/gpuRate)
+	case cpu.idx >= 0:
+		dt = cpu.frac / cpuRate
+	default:
+		dt = gpu.frac / gpuRate
+	}
+	if cpu.idx >= 0 {
+		cpu.frac -= cpuRate * dt
+		if cpu.frac <= 1e-12 {
+			*cpu = idle
+		}
+	}
+	if gpu.idx >= 0 {
+		gpu.frac -= gpuRate * dt
+		if gpu.frac <= 1e-12 {
+			*gpu = idle
+		}
+	}
+	return dt, nil
+}
+
 // mayDispatch applies the exclusivity rule: an exclusive job waits for
 // the other device to drain, and nothing starts beside a running
-// exclusive job.
-func (cx *Context) mayDispatch(s *Schedule, job int, otherRun *plannedJob) bool {
-	if otherRun == nil {
+// exclusive job. other is the job running on the other device, -1 when
+// it is idle.
+func (cx *Context) mayDispatch(s *Schedule, job, other int) bool {
+	if other < 0 {
 		return true
 	}
-	if s.Exclusive[job] || s.Exclusive[otherRun.idx] {
-		return false
-	}
-	return true
+	return !s.Exclusive[job] && !s.Exclusive[other]
 }
 
 func minPos(a, b float64) float64 {

@@ -68,27 +68,10 @@ func NaivePairMakespan(l1, l2 units.Seconds, d1, d2 float64) units.Seconds {
 	return units.Seconds(c2)
 }
 
-// coRunEverBeneficial reports whether job i can benefit from co-running
-// with any other job under the cap: the step-1 partition test. It
-// tries both placements of every partner and every cap-feasible
-// frequency pair, comparing the co-run makespan against the best
-// sequential execution of the two jobs (each alone on its best
-// cap-feasible device and level).
-func (cx *Context) coRunEverBeneficial(i int) bool {
-	n := cx.Oracle.NumJobs()
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		if cx.pairEverBeneficial(i, j) || cx.pairEverBeneficial(j, i) {
-			return true
-		}
-	}
-	return false
-}
-
 // pairEverBeneficial checks placement (c on CPU, g on GPU) for any
-// feasible frequency pair whose co-run beats sequential execution.
+// feasible frequency pair whose co-run beats sequential execution. It
+// stops at the first such pair, so it reads degradations through the
+// oracle instead of filling the class pair's table (see scoredPairs).
 func (cx *Context) pairEverBeneficial(c, g int) bool {
 	o := cx.Oracle
 	_, _, seqC, okC := cx.BestSoloAnywhere(c)

@@ -26,7 +26,7 @@ type Oracle interface {
 // per query and the GroundTruthOracle a whole co-run simulation, and
 // every planning pass (epoch after epoch in corund, permutation after
 // permutation in the optimal search) asks for the same pairs again.
-// The memo is a dense lock-free table indexed by (class, device, level,
+// The memo is a dense lock-free table indexed by (device, class, level,
 // co-runner class, level), so a hit costs two atomic loads — a
 // mutex-guarded map would cost more than recomputing the prediction.
 // The remaining oracle queries are pure table reads (StandaloneTime/
@@ -50,9 +50,13 @@ type CachedPredictor struct {
 	// cls maps each job to its degradation class.
 	cls []int
 
-	// Dense memo geometry: classes × devices × levels × classes ×
-	// levels, with one shared level stride covering both devices.
-	k, fmax int
+	// Dense memo geometry: one block per device of classes × the
+	// device's levels × classes × the other device's levels, each side
+	// sized by its own ladder. nf[d] is device d's level count and
+	// block the size of one device's block.
+	k     int
+	nf    [apu.NumDevices]int
+	block int
 
 	// state[k] is 1 once vals[k] holds Float64bits of the prediction.
 	// Writers store the value before the flag; with Go's sequentially
@@ -93,15 +97,16 @@ func NewCachedPredictor(base Oracle, cfg *apu.Config) (*CachedPredictor, error) 
 	for _, c := range cls {
 		k = max(k, c+1)
 	}
-	fmax := max(cfg.NumFreqs(apu.CPU), cfg.NumFreqs(apu.GPU))
-	size := k * apu.NumDevices * fmax * k * fmax
+	nf := [apu.NumDevices]int{cfg.NumFreqs(apu.CPU), cfg.NumFreqs(apu.GPU)}
+	block := k * nf[apu.CPU] * k * nf[apu.GPU]
 	return &CachedPredictor{
 		base:  base,
 		cls:   cls,
 		k:     k,
-		fmax:  fmax,
-		state: make([]atomic.Uint32, size),
-		vals:  make([]atomic.Uint64, size),
+		nf:    nf,
+		block: block,
+		state: make([]atomic.Uint32, apu.NumDevices*block),
+		vals:  make([]atomic.Uint64, apu.NumDevices*block),
 	}, nil
 }
 
@@ -141,12 +146,14 @@ func (c *CachedPredictor) StandalonePower(i int, d apu.Device, f int) units.Watt
 // in-range queries).
 func (c *CachedPredictor) slot(i int, dev apu.Device, f, j, g int) int {
 	n := len(c.cls)
-	if i < 0 || i >= n || j < 0 || j >= n ||
-		f < 0 || f >= c.fmax || g < 0 || g >= c.fmax ||
-		dev != apu.CPU && dev != apu.GPU {
+	if i < 0 || i >= n || j < 0 || j >= n || dev != apu.CPU && dev != apu.GPU {
 		return -1
 	}
-	return ((((c.cls[i]*apu.NumDevices)+int(dev))*c.fmax+f)*c.k+c.cls[j])*c.fmax + g
+	nf, ng := c.nf[dev], c.nf[dev.Other()]
+	if f < 0 || f >= nf || g < 0 || g >= ng {
+		return -1
+	}
+	return int(dev)*c.block + ((c.cls[i]*nf+f)*c.k+c.cls[j])*ng + g
 }
 
 // Degradation memoizes the base oracle's degradation prediction.

@@ -27,7 +27,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"corun/internal/apu"
 	"corun/internal/memsys"
@@ -60,11 +61,15 @@ type Surface struct {
 // valueAt bilinearly interpolates one of the surface's tables at the
 // given bandwidth coordinates, clamping outside the grid.
 func (s *Surface) valueAt(table [][]float64, cpuBW, gpuBW float64) float64 {
-	i0, i1, tx := bracket(s.CPUBW, cpuBW)
-	j0, j1, ty := bracket(s.GPUBW, gpuBW)
-	v0 := units.Lerp(table[i0][j0], table[i0][j1], ty)
-	v1 := units.Lerp(table[i1][j0], table[i1][j1], ty)
-	return units.Lerp(v0, v1, tx)
+	return lerp2(table, spanOf(s.CPUBW, cpuBW), spanOf(s.GPUBW, gpuBW))
+}
+
+// table returns the degradation table of the device-dev side.
+func (s *Surface) table(dev apu.Device) [][]float64 {
+	if dev == apu.CPU {
+		return s.DegCPU
+	}
+	return s.DegGPU
 }
 
 // DegradationCPUAt interpolates the CPU-side degradation at the given
@@ -80,6 +85,8 @@ func (s *Surface) DegradationGPUAt(cpuBW, gpuBW float64) float64 {
 
 // bracket finds indices i0 <= i1 and the interpolation weight t such
 // that xs[i0] <= x <= xs[i1] (clamped at the edges). xs is ascending.
+// The axes hold 3 frequencies or 11 bandwidth levels, so a linear
+// search beats a binary one.
 func bracket(xs []float64, x float64) (int, int, float64) {
 	n := len(xs)
 	if n == 1 || x <= xs[0] {
@@ -88,13 +95,35 @@ func bracket(xs []float64, x float64) (int, int, float64) {
 	if x >= xs[n-1] {
 		return n - 1, n - 1, 0
 	}
-	hi := sort.SearchFloat64s(xs, x)
+	hi := 1
+	for xs[hi] < x {
+		hi++
+	}
 	lo := hi - 1
 	span := xs[hi] - xs[lo]
 	if span <= 0 {
 		return lo, hi, 0
 	}
 	return lo, hi, (x - xs[lo]) / span
+}
+
+// span is a bracket result: x lies between axis entries lo and hi at
+// weight t.
+type span struct {
+	lo, hi int
+	t      float64
+}
+
+func spanOf(xs []float64, x float64) span {
+	lo, hi, t := bracket(xs, x)
+	return span{lo, hi, t}
+}
+
+// lerp2 bilinearly interpolates table at row span x and column span y.
+func lerp2(table [][]float64, x, y span) float64 {
+	v0 := units.Lerp(table[x.lo][y.lo], table[x.lo][y.hi], y.t)
+	v1 := units.Lerp(table[x.hi][y.lo], table[x.hi][y.hi], y.t)
+	return units.Lerp(v0, v1, x.t)
 }
 
 // Characterization is the full staged characterization: a sparse grid
@@ -112,6 +141,47 @@ type Characterization struct {
 	// interpolation weights.
 	cpuFreqGHz []float64
 	gpuFreqGHz []float64
+
+	// cpuAxis[a][b] is the first column e of row a whose surface has
+	// the same CPU bandwidth axis as Surfaces[a][b]; gpuAxis[a][b] is
+	// the first row e of column b whose surface has the same GPU axis.
+	// Degradation brackets a bandwidth once per distinct axis.
+	cpuAxis [][]int
+	gpuAxis [][]int
+}
+
+// bind fills the derived tables of a characterization whose levels and
+// surfaces are set: the clock values of the levels on machine cfg and
+// the axis-sharing tables. The surfaces must not change afterwards.
+func (c *Characterization) bind(cfg *apu.Config) {
+	for _, l := range c.CPULevels {
+		c.cpuFreqGHz = append(c.cpuFreqGHz, float64(cfg.Freq(apu.CPU, l)))
+	}
+	for _, l := range c.GPULevels {
+		c.gpuFreqGHz = append(c.gpuFreqGHz, float64(cfg.Freq(apu.GPU, l)))
+	}
+	c.cpuAxis = make([][]int, len(c.Surfaces))
+	c.gpuAxis = make([][]int, len(c.Surfaces))
+	for a, row := range c.Surfaces {
+		c.cpuAxis[a] = make([]int, len(row))
+		c.gpuAxis[a] = make([]int, len(row))
+		for b, s := range row {
+			for !sameAxis(row[c.cpuAxis[a][b]].CPUBW, s.CPUBW) {
+				c.cpuAxis[a][b]++
+			}
+			for !sameAxis(c.Surfaces[c.gpuAxis[a][b]][b].GPUBW, s.GPUBW) {
+				c.gpuAxis[a][b]++
+			}
+		}
+	}
+}
+
+// sameAxis reports whether two axes hold bit-identical values, so that
+// bracketing either gives the same span.
+func sameAxis(x, y []float64) bool {
+	return slices.EqualFunc(x, y, func(u, v float64) bool {
+		return math.Float64bits(u) == math.Float64bits(v)
+	})
 }
 
 // CharacterizeOptions configures the characterization pass.
@@ -160,12 +230,6 @@ func Characterize(opts CharacterizeOptions) (*Characterization, error) {
 	}
 
 	c := &Characterization{CPULevels: cpuLvls, GPULevels: gpuLvls}
-	for _, l := range cpuLvls {
-		c.cpuFreqGHz = append(c.cpuFreqGHz, float64(opts.Cfg.Freq(apu.CPU, l)))
-	}
-	for _, l := range gpuLvls {
-		c.gpuFreqGHz = append(c.gpuFreqGHz, float64(opts.Cfg.Freq(apu.GPU, l)))
-	}
 	c.Surfaces = make([][]*Surface, len(cpuLvls))
 	for a, cf := range cpuLvls {
 		c.Surfaces[a] = make([]*Surface, len(gpuLvls))
@@ -177,6 +241,7 @@ func Characterize(opts CharacterizeOptions) (*Characterization, error) {
 			c.Surfaces[a][b] = s
 		}
 	}
+	c.bind(opts.Cfg)
 	return c, nil
 }
 
@@ -264,17 +329,48 @@ func (c *Characterization) SurfaceAt(a, b int) *Surface { return c.Surfaces[a][b
 // side streams gpuBW GB/s, at the actual frequency pair (cpuGHz,
 // gpuGHz). This is the staged interpolation: bandwidth-plane bilinear
 // per surface, then frequency-plane bilinear across surfaces.
+//
+// A surface's CPU axis depends only on its CPU level and its GPU axis
+// only on its GPU level, so the four bracketing surfaces share their
+// axes pairwise: each distinct axis is bracketed once. Axes are shared
+// only when their values are equal (see bind), which a loaded
+// characterization need not satisfy.
 func (c *Characterization) Degradation(dev apu.Device, cpuBW, gpuBW, cpuGHz, gpuGHz float64) float64 {
-	a0, a1, ta := bracket(c.cpuFreqGHz, cpuGHz)
-	b0, b1, tb := bracket(c.gpuFreqGHz, gpuGHz)
-	val := func(a, b int) float64 {
-		s := c.Surfaces[a][b]
-		if dev == apu.CPU {
-			return s.DegradationCPUAt(cpuBW, gpuBW)
-		}
-		return s.DegradationGPUAt(cpuBW, gpuBW)
+	a, b := spanOf(c.cpuFreqGHz, cpuGHz), spanOf(c.gpuFreqGHz, gpuGHz)
+	s00, s01 := c.Surfaces[a.lo][b.lo], c.Surfaces[a.lo][b.hi]
+	s10, s11 := c.Surfaces[a.hi][b.lo], c.Surfaces[a.hi][b.hi]
+	ca, ga := c.cpuAxis, c.gpuAxis
+
+	// CPU axes: row a.lo, then row a.hi.
+	x00 := spanOf(s00.CPUBW, cpuBW)
+	x01 := x00
+	if ca[a.lo][b.hi] != ca[a.lo][b.lo] {
+		x01 = spanOf(s01.CPUBW, cpuBW)
 	}
-	v0 := units.Lerp(val(a0, b0), val(a0, b1), tb)
-	v1 := units.Lerp(val(a1, b0), val(a1, b1), tb)
-	return units.Lerp(v0, v1, ta)
+	x10, x11 := x00, x01
+	if a.hi != a.lo {
+		x10 = spanOf(s10.CPUBW, cpuBW)
+		x11 = x10
+		if ca[a.hi][b.hi] != ca[a.hi][b.lo] {
+			x11 = spanOf(s11.CPUBW, cpuBW)
+		}
+	}
+	// GPU axes: column b.lo, then column b.hi.
+	y00 := spanOf(s00.GPUBW, gpuBW)
+	y10 := y00
+	if ga[a.hi][b.lo] != ga[a.lo][b.lo] {
+		y10 = spanOf(s10.GPUBW, gpuBW)
+	}
+	y01, y11 := y00, y10
+	if b.hi != b.lo {
+		y01 = spanOf(s01.GPUBW, gpuBW)
+		y11 = y01
+		if ga[a.hi][b.hi] != ga[a.lo][b.hi] {
+			y11 = spanOf(s11.GPUBW, gpuBW)
+		}
+	}
+
+	v0 := units.Lerp(lerp2(s00.table(dev), x00, y00), lerp2(s01.table(dev), x01, y01), b.t)
+	v1 := units.Lerp(lerp2(s10.table(dev), x10, y10), lerp2(s11.table(dev), x11, y11), b.t)
+	return units.Lerp(v0, v1, a.t)
 }

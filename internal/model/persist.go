@@ -71,12 +71,7 @@ func LoadCharacterization(r io.Reader, cfg *apu.Config) (*Characterization, erro
 			}
 		}
 	}
-	for _, l := range p.CPULevels {
-		c.cpuFreqGHz = append(c.cpuFreqGHz, float64(cfg.Freq(apu.CPU, l)))
-	}
-	for _, l := range p.GPULevels {
-		c.gpuFreqGHz = append(c.gpuFreqGHz, float64(cfg.Freq(apu.GPU, l)))
-	}
+	c.bind(cfg)
 	return c, nil
 }
 
