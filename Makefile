@@ -31,7 +31,7 @@ fmtcheck:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench runs the planning benchmarks of the policy engine, the served
+# bench runs the planning benchmarks of the policy registry, the served
 # hcs+ epoch (profile -> model -> plan -> simulate), its planning
 # stages (partition, greedy, refine), the staged interpolation's miss
 # path and the append/recovery benchmarks of the state journal (no
@@ -88,13 +88,14 @@ fuzz:
 # (closed loop, journaling to a temp dir, a three-tenant mix against
 # WFQ weights and a bounded batch) and writes the canonical
 # BENCH_10.json report: throughput, per-endpoint and per-tenant latency
-# quantiles, server-side counter deltas (including the per-plane watts,
-# temperature, and binding_constraint of the domain model), paired
-# journal micro-benchmarks, and the committed optimization evidence
-# from bench/optimizations_9.json. Concurrency 32 (up from 4) exercises
-# the sharded table and lets the journal writer goroutine coalesce
-# submitters into shared fsyncs — at concurrency 4 there is almost
-# nothing to batch.
+# quantiles, and server-side counter deltas (including the per-plane
+# watts, temperature, and binding_constraint of the domain model). The
+# journal micro-benchmarks are `go test -bench ./internal/journal/`
+# (see `make bench`); bench/optimizations_*.json keep the historical
+# before/after evidence of earlier rounds. Concurrency 32 (up from 4)
+# exercises the sharded table and lets the journal writer goroutine
+# coalesce submitters into shared fsyncs — at concurrency 4 there is
+# almost nothing to batch.
 #
 # -tmax 45 makes the run a thermal-throttle scenario: at the 15 W cap
 # the heatsink steadies near 52-54 C, so a 45 C trip point reliably
@@ -122,7 +123,7 @@ loadtest:
 		-policy random -max-batch 64 -max-queue 16384 -tmax 45 \
 		-tenants 'team-a=3:high,team-b=2,batch=1:low' \
 		-tenant-weights 'team-a=3,team-b=1,batch=0' \
-		-microbench -notes bench/optimizations_9.json -out BENCH_10.json
+		-out BENCH_10.json
 
 # loadtest-fleet drives a self-hosted 3-node fleet behind the
 # in-process coordinator with the same mixed-tenant workload, three
@@ -145,11 +146,14 @@ loadtest-fleet:
 		-out BENCH_8.json
 
 # verify is the tier-1 gate: everything must be gofmt-clean, compile,
-# vet clean, and pass the full test suite under the race detector.
+# vet clean, and pass the full test suite under the race detector. The
+# perfbench module compiles against internal APIs but is its own module
+# (root ./... skips it), so it is vetted and tested separately.
 verify: fmtcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 corund:
 	$(GO) build -o bin/corund ./cmd/corund

@@ -14,7 +14,7 @@
 //	           [-mix all|prog[=w],...] [-tenants name[=share][:prio],...]
 //	           [-read-fraction f] [-seed n]
 //	           [-fleet n] [-fleet-cap watts] [-balancer name] [-baseline]
-//	           [-microbench] [-notes file] [-out file]
+//	           [-out file]
 //	           [-policy name] [-cap watts] [-cap-pp0 watts] [-cap-pp1 watts]
 //	           [-tmax celsius] [-max-queue n]
 //	           [-tenant-queue n] [-tenant-weights name=w,...] [-max-batch n]
@@ -50,11 +50,7 @@
 // queue bound, and the bounded batch that enables priority
 // preemption).
 //
-// -microbench pairs the HTTP run with in-process testing.Benchmark
-// runs of the journal append hot path (ns/op, B/op, allocs/op).
-// -notes merges a committed optimization-evidence JSON file into the
-// report, preserving before/after numbers measured against code that
-// no longer exists. `make loadtest` wires the standard invocation.
+// `make loadtest` wires the standard invocation.
 package main
 
 import (
@@ -81,7 +77,6 @@ import (
 	"corun/internal/loadgen"
 	"corun/internal/memsys"
 	"corun/internal/model"
-	"corun/internal/online"
 	"corun/internal/policy"
 	"corun/internal/server"
 	"corun/internal/units"
@@ -109,8 +104,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	tenantsFlag := fs.String("tenants", "", "tenant mix: name[=share][:priority],... (empty = no tenant fields)")
 	readFrac := fs.Float64("read-fraction", 0.5, "fraction of operations that are reads (plan/status)")
 	seed := fs.Int64("seed", 1, "seed for program choice, scales, and interleaving")
-	micro := fs.Bool("microbench", false, "pair the run with in-process journal micro-benchmarks")
-	notes := fs.String("notes", "", "merge this optimization-evidence JSON file into the report")
 	out := fs.String("out", "", "write the JSON report here (empty = stdout)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the whole run (clients + self-hosted daemon) here")
 	readyTimeout := fs.Duration("ready-timeout", 30*time.Second, "poll the target's /readyz this long before offering load")
@@ -273,20 +266,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			log.Printf("fleet: %.2fx the single-node baseline throughput", snap.SpeedupVsBaseline)
 		}
 	}
-	if *micro {
-		log.Printf("running paired micro-benchmarks")
-		mb, err := loadgen.Microbench()
-		if err != nil {
-			return err
-		}
-		rep.Microbench = mb
-	}
-	if *notes != "" {
-		if err := rep.MergeNotes(*notes); err != nil {
-			return err
-		}
-	}
-
 	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -332,7 +311,7 @@ type hostConfig struct {
 // selfHost launches an in-process corund on a loopback port and
 // returns its base URL plus a clean-drain shutdown.
 func selfHost(hc hostConfig) (func(), string, error) {
-	pol, err := online.ParsePolicy(hc.policy)
+	pol, err := policy.Canonical(hc.policy)
 	if err != nil {
 		return nil, "", err
 	}

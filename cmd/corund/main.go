@@ -115,7 +115,6 @@ import (
 	"corun/internal/journal"
 	"corun/internal/memsys"
 	"corun/internal/model"
-	"corun/internal/online"
 	"corun/internal/policy"
 	"corun/internal/server"
 	"corun/internal/units"
@@ -274,7 +273,7 @@ func runCoordinator(addr, nodesSpec string, fleetCap, nodeFloor float64, balance
 // buildConfig assembles the server configuration: machine preset,
 // policy, the characterization (measured, or loaded from a file),
 // and the durability options.
-func buildConfig(machine, policy string, capW float64, maxQueue int, epochGap time.Duration, seed int64, charFile, saveChar, dataDir, fsync string, tmaxC float64) (*server.Config, error) {
+func buildConfig(machine, policyName string, capW float64, maxQueue int, epochGap time.Duration, seed int64, charFile, saveChar, dataDir, fsync string, tmaxC float64) (*server.Config, error) {
 	var mcfg *apu.Config
 	switch strings.ToLower(machine) {
 	case "ivybridge", "":
@@ -293,7 +292,7 @@ func buildConfig(machine, policy string, capW float64, maxQueue int, epochGap ti
 		}
 		mcfg = mcfg.WithThermal(tp)
 	}
-	pol, err := online.ParsePolicy(policy)
+	pol, err := policy.Canonical(policyName)
 	if err != nil {
 		return nil, err
 	}

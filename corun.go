@@ -17,7 +17,7 @@
 //
 //	sys, _ := corun.NewSystem(corun.WithPowerCap(15))
 //	w, _ := sys.Prepare(corun.Batch8())
-//	plan, _ := w.ScheduleHCSPlus()
+//	plan, _ := w.Schedule("hcs+")
 //	report, _ := w.Run(plan)
 //	fmt.Println(report.Makespan)
 //
@@ -371,10 +371,11 @@ type PolicyInfo = policy.Info
 // and one-line descriptions.
 func DescribePolicies() []PolicyInfo { return policy.List() }
 
-// Schedule plans the batch with any registered policy, resolved by
-// name through the policy registry ("hcs", "hcs+", "optimal",
-// "anneal", "genetic", "random", "default", or any alias). Unknown
-// names return an error listing the valid ones.
+// Schedule plans the batch with a registered planned policy, resolved
+// by name through the policy registry ("hcs", "hcs+", "optimal",
+// "anneal", "genetic", or any alias). Unknown names return an error
+// listing the valid ones; the dispatchers ("random", "default") make
+// no plan and return an error too (see RunPolicy).
 func (w *Workload) Schedule(policyName string) (*Schedule, error) {
 	return w.ScheduleSeeded(policyName, defaultPlanSeed)
 }
@@ -383,16 +384,6 @@ func (w *Workload) Schedule(policyName string) (*Schedule, error) {
 // planners; deterministic policies ignore it.
 func (w *Workload) ScheduleSeeded(policyName string, seed int64) (*Schedule, error) {
 	return policy.Plan(policyName, w.cx, policy.Options{Seed: seed})
-}
-
-// ScheduleHCS plans with the heuristic co-scheduling algorithm.
-func (w *Workload) ScheduleHCS() (*Schedule, error) {
-	return w.Schedule("hcs")
-}
-
-// ScheduleHCSPlus plans with HCS plus the post local refinement.
-func (w *Workload) ScheduleHCSPlus() (*Schedule, error) {
-	return w.Schedule("hcs+")
 }
 
 // ExplainPlan writes a human-readable account of a schedule: per-job
@@ -471,6 +462,34 @@ func (w *Workload) Run(s *Schedule) (*Report, error) {
 	return reportOf(r), nil
 }
 
+// RunPolicy runs the batch under any registered policy. A planned
+// policy's schedule (planned with seed) is executed and returned; a
+// dispatcher ("random", "default") places jobs at run time under the
+// GPU-biased governor and returns a nil schedule.
+func (w *Workload) RunPolicy(policyName string, seed int64) (*Schedule, *Report, error) {
+	p, err := policy.Parse(policyName)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := policy.Options{Seed: seed}
+	if d, ok := p.(policy.Dispatcher); ok {
+		r, err := d.Dispatch(w.execOpts(), w.batch, w.cx.Oracle, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, reportOf(r), nil
+	}
+	plan, err := policy.PlanWith(p, w.cx, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := w.Run(plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, rep, nil
+}
+
 // RunRandom executes the Random baseline with the given seed; the cap
 // is enforced by the bias's reactive governor.
 func (w *Workload) RunRandom(seed int64, bias Bias) (*Report, error) {
@@ -514,18 +533,8 @@ type (
 	Arrival = online.Arrival
 	// ServeResult summarizes a served arrival stream.
 	ServeResult = online.Result
-	// ServePolicy selects the per-epoch scheduling policy.
-	ServePolicy = online.Policy
 	// JobOutcome records one served job's latency.
 	JobOutcome = online.JobOutcome
-)
-
-// Online serving policies.
-const (
-	ServeHCSPlus = online.PolicyHCSPlus
-	ServeHCS     = online.PolicyHCS
-	ServeRandom  = online.PolicyRandom
-	ServeDefault = online.PolicyDefault
 )
 
 // GenerateArrivals produces a seeded random arrival stream over the
@@ -545,8 +554,9 @@ func ArrivalOf(name string, at, scale float64) (Arrival, error) {
 }
 
 // Serve runs an arrival stream through the online epoch scheduler on
-// this system, planning each epoch's queue with the given policy.
-func (s *System) Serve(arrivals []Arrival, policy ServePolicy, seed int64) (*ServeResult, error) {
+// this system, scheduling each epoch's queue with the named registry
+// policy ("hcs+", "random", ...).
+func (s *System) Serve(arrivals []Arrival, policy string, seed int64) (*ServeResult, error) {
 	return online.Serve(online.Options{
 		Cfg: s.cfg, Mem: s.mem, Char: s.char, Cap: s.cap, Domains: s.domains,
 		Policy: policy, Seed: seed,
@@ -571,11 +581,11 @@ const (
 // ServeCluster balances an arrival stream across a fleet of identical
 // nodes (each a copy of this system) and serves every node's share
 // with the online epoch scheduler.
-func (s *System) ServeCluster(arrivals []Arrival, nodes int, bal Balancer, policy ServePolicy, seed int64) (*ClusterResult, error) {
+func (s *System) ServeCluster(arrivals []Arrival, nodes int, bal Balancer, policy string, seed int64) (*ClusterResult, error) {
 	return cluster.Serve(cluster.Options{
 		Cfg: s.cfg, Mem: s.mem, Char: s.char,
 		Nodes: nodes, CapPerNode: s.cap,
-		Balancer: bal, Policy: string(policy), Seed: seed,
+		Balancer: bal, Policy: policy, Seed: seed,
 	}, arrivals)
 }
 

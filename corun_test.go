@@ -72,7 +72,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCustomCharacterizationLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.ScheduleHCS()
+	plan, err := w.Schedule("hcs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestKaveriMachineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,11 @@ func TestCharacterizationPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := wA.ScheduleHCS()
+	pa, err := wA.Schedule("hcs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := wB.ScheduleHCS()
+	pb, err := wB.Schedule("hcs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestReportWriteGantt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.ScheduleHCS()
+	plan, err := w.Schedule("hcs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestBatch16RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCustomProgramSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func ExampleSystem_Serve() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.Serve([]corun.Arrival{a1, a2}, corun.ServeHCSPlus, 1)
+	res, err := sys.Serve([]corun.Arrival{a1, a2}, "hcs+", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func main() {
 		}
 
 		// Smart: HCS+ co-schedule.
-		plan, err := w.ScheduleHCSPlus()
+		plan, err := w.Schedule("hcs+")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func main() {
 
 	fmt.Println("fleet sizing (affinity-aware balancing, HCS+ per node):")
 	for _, nodes := range []int{1, 2, 4} {
-		res, err := sys.ServeCluster(arrivals, nodes, corun.AffinityAware, corun.ServeHCSPlus, 1)
+		res, err := sys.ServeCluster(arrivals, nodes, corun.AffinityAware, "hcs+", 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func main() {
 
 	fmt.Println("\nbalancing policies (3 nodes):")
 	for _, bal := range []corun.Balancer{corun.RoundRobin, corun.LeastLoaded, corun.AffinityAware} {
-		res, err := sys.ServeCluster(arrivals, 3, bal, corun.ServeHCSPlus, 1)
+		res, err := sys.ServeCluster(arrivals, 3, bal, "hcs+", 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func main() {
 	}
 
 	fmt.Println("\nscheduling policies per node (3 nodes, affinity-aware):")
-	for _, pol := range []corun.ServePolicy{corun.ServeHCSPlus, corun.ServeRandom} {
+	for _, pol := range []string{"hcs+", "random"} {
 		res, err := sys.ServeCluster(arrivals, 3, corun.AffinityAware, pol, 1)
 		if err != nil {
 			log.Fatal(err)

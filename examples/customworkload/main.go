@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, policy := range []corun.ServePolicy{corun.ServeHCSPlus, corun.ServeRandom} {
+	for _, policy := range []string{"hcs+", "random"} {
 		res, err := sys.Serve(arrivals, policy, 1)
 		if err != nil {
 			log.Fatal(err)
@@ -35,7 +35,7 @@ func main() {
 	}
 
 	// Show the latency of one specific arrival under HCS+.
-	res, err := sys.Serve(arrivals, corun.ServeHCSPlus, 1)
+	res, err := sys.Serve(arrivals, "hcs+", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

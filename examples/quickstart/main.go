@@ -25,7 +25,7 @@ func main() {
 	}
 
 	// Plan with the heuristic co-scheduler plus local refinement.
-	plan, err := w.ScheduleHCSPlus()
+	plan, err := w.Schedule("hcs+")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestScheduleErrorsOnInfeasibleCapAtPlanTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan16, err := w16.ScheduleHCS()
+	plan16, err := w16.Schedule("hcs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestBatchAccessor(t *testing.T) {
 
 func TestServeClusterValidation(t *testing.T) {
 	s := capped15(t)
-	if _, err := s.ServeCluster(nil, 0, RoundRobin, ServeHCSPlus, 1); err == nil {
+	if _, err := s.ServeCluster(nil, 0, RoundRobin, "hcs+", 1); err == nil {
 		t.Error("zero nodes accepted")
 	}
 	a, err := ArrivalOf("lud", 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ServeCluster([]Arrival{a}, 2, LeastLoaded, ServeHCSPlus, 1)
+	res, err := s.ServeCluster([]Arrival{a}, 2, LeastLoaded, "hcs+", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestPrepareCalibrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planPlain, err := plain.ScheduleHCSPlus()
+	planPlain, err := plain.Schedule("hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}
-	planCal, err := cal.ScheduleHCSPlus()
+	planCal, err := cal.Schedule("hcs+")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,5 +175,59 @@ func TestPrepareCalibrated(t *testing.T) {
 	if float64(repCal.Makespan) > float64(repPlain.Makespan)*1.10 {
 		t.Errorf("calibrated model scheduled clearly worse: %v vs %v",
 			repCal.Makespan, repPlain.Makespan)
+	}
+}
+
+// RunPolicy resolves a name through the registry: a planned policy
+// runs its plan, a dispatcher is the paper's baseline under the
+// GPU-biased governor and has no plan.
+func TestRunPolicyPlansOrDispatches(t *testing.T) {
+	s := capped15(t)
+	w, err := s.Prepare(Batch8())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, rep, err := w.RunPolicy("HCSPlus", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.Schedule("hcs+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan == nil || plan.String() != want.String() {
+		t.Errorf("RunPolicy plan %v, Schedule plan %v", plan, want)
+	}
+	wantRep, err := w.Run(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Makespan != wantRep.Makespan {
+		t.Errorf("RunPolicy makespan %v, Run makespan %v", rep.Makespan, wantRep.Makespan)
+	}
+
+	rnd, err := w.RunRandom(3, GPUBiased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := w.RunDefault(GPUBiased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, direct := range map[string]*Report{"random": rnd, "default": def, "default-gpu": def} {
+		plan, rep, err := w.RunPolicy(name, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if plan != nil || rep.Makespan != direct.Makespan || rep.EnergyJ != direct.EnergyJ {
+			t.Errorf("%s: plan %v, makespan %v, energy %v; want no plan, %v, %v",
+				name, plan, rep.Makespan, rep.EnergyJ, direct.Makespan, direct.EnergyJ)
+		}
+		if _, err := w.Schedule(name); err == nil {
+			t.Errorf("Schedule(%q) of a dispatcher succeeded", name)
+		}
+	}
+	if _, _, err := w.RunPolicy("fifo", 1); err == nil {
+		t.Error("unknown policy accepted")
 	}
 }

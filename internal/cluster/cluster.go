@@ -14,8 +14,7 @@
 // headroom-aware policy extends that to uneven per-node power budgets.
 //
 // Scheduling policies are plain registry names (internal/policy), so
-// any registered planner can serve the fleet's epochs; the package no
-// longer couples to internal/online's policy type.
+// any registered policy can serve the fleet's epochs.
 package cluster
 
 import (
@@ -82,7 +81,7 @@ func Serve(opts Options, arrivals []online.Arrival) (*Result, error) {
 	}
 	polName := opts.Policy
 	if polName == "" {
-		polName = string(online.PolicyHCSPlus)
+		polName = online.PolicyHCSPlus
 	}
 	canonical, err := policy.Canonical(polName)
 	if err != nil {
@@ -126,7 +125,7 @@ func Serve(opts Options, arrivals []online.Arrival) (*Result, error) {
 	for n := 0; n < opts.Nodes; n++ {
 		nodeRes, err := online.Serve(online.Options{
 			Cfg: opts.Cfg, Mem: opts.Mem, Char: opts.Char,
-			Cap: opts.CapPerNode, Policy: online.Policy(canonical), Seed: opts.Seed + int64(n),
+			Cap: opts.CapPerNode, Policy: canonical, Seed: opts.Seed + int64(n),
 		}, perNode[n])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", n, err)

@@ -107,16 +107,6 @@ func RandomAverage(opts ExecOptions, batch []*workload.Instance, n int, seedBase
 	return units.Seconds(sum / float64(n)), results, nil
 }
 
-// RandomPlan builds the planned-schedule form of the Random baseline:
-// each job lands on a random device in random order, with no exclusive
-// marks. Unlike ExecuteRandom — the paper's dispatcher-driven baseline,
-// which re-rolls at every idle processor — this is a plain Schedule, so
-// it can flow through the same predicted-makespan evaluation and
-// execution paths as every planned policy.
-func RandomPlan(n int, seed int64) *Schedule {
-	return randomSchedule(n, rand.New(rand.NewSource(seed)))
-}
-
 // DefaultPartition reproduces the Default baseline's job placement:
 // rank programs by the ratio of standalone CPU time to GPU time at the
 // highest frequency, give the most GPU-leaning prefix to the GPU, and

@@ -10,7 +10,8 @@ import (
 	"corun/internal/workload"
 )
 
-// PolicyOutcome is one registered policy's plan on the sweep batch.
+// PolicyOutcome is one registered policy's run of the sweep batch.
+// Predicted is 0 for a dispatcher, which makes no plan.
 type PolicyOutcome struct {
 	Policy    string        `json:"policy"`
 	Predicted units.Seconds `json:"predicted_makespan_s"`
@@ -27,9 +28,11 @@ type PolicySweepResult struct {
 	Outcomes []PolicyOutcome `json:"outcomes"`
 }
 
-// PolicySweep plans a 6-job batch (small enough for the optimal bound)
-// under every registered policy on one shared scheduling context, then
-// executes each plan, reporting predicted and simulated makespans.
+// PolicySweep runs a 6-job batch (small enough for the optimal bound)
+// under every registered policy on one shared scheduling context:
+// each planner's plan is evaluated on the model and executed, each
+// dispatcher executes the batch directly. It reports predicted and
+// simulated makespans.
 func (s *Suite) PolicySweep() (*PolicySweepResult, error) {
 	batch, err := workload.Subset("streamcluster", "cfd", "dwt2d", "hotspot", "srad", "lud")
 	if err != nil {
@@ -43,27 +46,42 @@ func (s *Suite) PolicySweep() (*PolicySweepResult, error) {
 	out := &PolicySweepResult{N: len(batch), CapWatts: float64(cap)}
 	for _, name := range policy.Names() {
 		oc := PolicyOutcome{Policy: name}
-		plan, err := policy.Plan(name, cx, policy.Options{Seed: 7})
-		if err != nil {
+		if err := s.sweepOne(&oc, cx, batch, cap); err != nil {
 			oc.Error = err.Error()
-			out.Outcomes = append(out.Outcomes, oc)
-			continue
 		}
-		if oc.Predicted, err = cx.PredictedMakespan(plan); err != nil {
-			oc.Error = err.Error()
-			out.Outcomes = append(out.Outcomes, oc)
-			continue
-		}
-		res, err := cx.Execute(plan, batch, core.ExecOptions{Cfg: s.Cfg, Mem: s.Mem, Cap: cap})
-		if err != nil {
-			oc.Error = err.Error()
-			out.Outcomes = append(out.Outcomes, oc)
-			continue
-		}
-		oc.Simulated = res.Makespan
 		out.Outcomes = append(out.Outcomes, oc)
 	}
 	return out, nil
+}
+
+// sweepOne runs the batch under oc's policy and fills in its makespans.
+func (s *Suite) sweepOne(oc *PolicyOutcome, cx *core.Context, batch []*workload.Instance, cap units.Watts) error {
+	p, err := policy.Parse(oc.Policy)
+	if err != nil {
+		return err
+	}
+	opts := policy.Options{Seed: 7}
+	if d, ok := p.(policy.Dispatcher); ok {
+		res, err := d.Dispatch(s.execOptions(cap), batch, cx.Oracle, opts)
+		if err != nil {
+			return err
+		}
+		oc.Simulated = res.Makespan
+		return nil
+	}
+	plan, err := policy.PlanWith(p, cx, opts)
+	if err != nil {
+		return err
+	}
+	if oc.Predicted, err = cx.PredictedMakespan(plan); err != nil {
+		return err
+	}
+	res, err := cx.Execute(plan, batch, s.execOptions(cap))
+	if err != nil {
+		return err
+	}
+	oc.Simulated = res.Makespan
+	return nil
 }
 
 // WriteText renders the sweep as a table.
@@ -78,8 +96,12 @@ func (r *PolicySweepResult) WriteText(w io.Writer) error {
 			}
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "  %-10s predicted %6.1fs  simulated %6.1fs\n",
-			oc.Policy, float64(oc.Predicted), float64(oc.Simulated)); err != nil {
+		predicted := fmt.Sprintf("predicted %6.1fs", float64(oc.Predicted))
+		if oc.Predicted == 0 {
+			predicted = fmt.Sprintf("%-17s", "dispatched")
+		}
+		if _, err := fmt.Fprintf(w, "  %-10s %s  simulated %6.1fs\n",
+			oc.Policy, predicted, float64(oc.Simulated)); err != nil {
 			return err
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"corun/internal/cluster"
 	"corun/internal/policy"
+	"corun/internal/server"
 	"corun/internal/workload"
 )
 
@@ -54,18 +55,6 @@ func (c *Coordinator) Handler() http.Handler {
 		})
 	}
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // forward proxies one request to a node. A non-nil body is sent as
@@ -154,17 +143,17 @@ func (c *Coordinator) recordPlacement(mb *member, hint cluster.JobHint) {
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := workload.DecodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	hint, err := c.hintFor(spec)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	payload, err := json.Marshal(spec)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		server.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	tried := make(map[*member]bool)
@@ -201,7 +190,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.m.routingFailed.Inc()
-	writeErr(w, http.StatusServiceUnavailable,
+	server.WriteErr(w, http.StatusServiceUnavailable,
 		fmt.Errorf("fleet: no healthy node accepted the job"))
 }
 
@@ -237,7 +226,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	mb := c.ownerOf(id)
 	if mb == nil {
-		writeErr(w, http.StatusNotFound,
+		server.WriteErr(w, http.StatusNotFound,
 			fmt.Errorf("fleet: unknown job %q (no node owns this ID prefix)", id))
 		return
 	}
@@ -245,7 +234,7 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		c.m.proxyErrors.Inc()
 		c.suspend(mb, err)
-		writeErr(w, http.StatusServiceUnavailable,
+		server.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("fleet: shard %s unavailable: %v", mb.id, err))
 		return
 	}
@@ -305,7 +294,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		merged.Jobs = append(merged.Jobs, res.jobs...)
 	}
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // planNode is one node's slice of the aggregated plan view.
@@ -408,7 +397,7 @@ func (c *Coordinator) buildPlan(ctx context.Context) []byte {
 }
 
 func (c *Coordinator) handleGetCap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
+	server.WriteJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
 }
 
 func (c *Coordinator) handleSetCap(w http.ResponseWriter, r *http.Request) {
@@ -418,15 +407,15 @@ func (c *Coordinator) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil || req.CapWatts == nil {
-		writeErr(w, http.StatusBadRequest,
+		server.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf(`fleet: body must be {"cap_watts": <number>} (the fleet-wide budget; 0 = unmanaged)`))
 		return
 	}
 	if err := c.SetBudgetW(r.Context(), *req.CapWatts); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
+	server.WriteJSON(w, http.StatusOK, map[string]float64{"cap_watts": c.BudgetW()})
 }
 
 // handlePolicies proxies the registry listing from any healthy node —
@@ -443,13 +432,13 @@ func (c *Coordinator) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if target == nil {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
 		return
 	}
 	resp, err := c.forward(r.Context(), http.MethodGet, target.url+"/v1/policies", nil)
 	if err != nil {
 		c.m.proxyErrors.Inc()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: node %s unavailable: %v", target.id, err))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: node %s unavailable: %v", target.id, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -470,13 +459,13 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest,
+		server.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf(`fleet: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
 	}
 	canonical, err := policy.Canonical(req.Policy)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		server.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	c.mu.Lock()
@@ -488,7 +477,7 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if len(targets) == 0 {
-		writeErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
+		server.WriteErr(w, http.StatusServiceUnavailable, fmt.Errorf("fleet: no healthy node"))
 		return
 	}
 	payload := []byte(fmt.Sprintf(`{"policy": %q}`, canonical))
@@ -513,7 +502,7 @@ func (c *Coordinator) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	if len(failed) > 0 {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{
+	server.WriteJSON(w, status, map[string]any{
 		"policy":  canonical,
 		"applied": applied,
 		"failed":  failed,
@@ -558,14 +547,14 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"balancer": c.placer.Strategy().String(),
 		"nodes":    views,
 	})
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReady is the fleet readiness gate: 200 while at least one
@@ -592,8 +581,8 @@ func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 	if healthy == 0 {
 		body["status"] = "unavailable"
-		writeJSON(w, http.StatusServiceUnavailable, body)
+		server.WriteJSON(w, http.StatusServiceUnavailable, body)
 		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	server.WriteJSON(w, http.StatusOK, body)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"time"
 )
 
@@ -106,31 +105,6 @@ type ServerStats struct {
 	BindingConstraint string  `json:"binding_constraint,omitempty"`
 }
 
-// MicroResult is one in-process micro-benchmark (testing.Benchmark)
-// paired with the HTTP-level run: ns, bytes, and allocations per op.
-type MicroResult struct {
-	N           int     `json:"n"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// Optimization records one measured hot-path change: the metric it
-// moved, the before/after numbers from the same harness, and how they
-// were obtained. These entries are maintained by hand in a notes file
-// (see MergeNotes) — the harness cannot re-measure code that no
-// longer exists.
-type Optimization struct {
-	Name        string  `json:"name"`
-	Description string  `json:"description"`
-	Metric      string  `json:"metric"`
-	Unit        string  `json:"unit"`
-	Before      float64 `json:"before"`
-	After       float64 `json:"after"`
-	Improvement string  `json:"improvement"`
-	Source      string  `json:"source"`
-}
-
 // FleetNodeReport is one node's share of a fleet run, read from the
 // coordinator's GET /v1/nodes after the measurement window.
 type FleetNodeReport struct {
@@ -192,9 +166,6 @@ type Report struct {
 	// measured against (same machine, same harness, same mix).
 	Fleet    *FleetReport `json:"fleet,omitempty"`
 	Baseline *Report      `json:"baseline,omitempty"`
-
-	Microbench    map[string]MicroResult `json:"microbench,omitempty"`
-	Optimizations []Optimization         `json:"optimizations,omitempty"`
 }
 
 // AttachFleet turns the report into a fleet-trajectory report: the
@@ -265,24 +236,6 @@ func FleetSnapshot(ctx context.Context, client *http.Client, baseURL string) (*F
 		f.PerNode = append(f.PerNode, nr)
 	}
 	return f, nil
-}
-
-// MergeNotes loads a committed optimization-evidence file (a JSON
-// array of Optimization entries) into the report. The before numbers
-// in such a file were measured by running this same harness against
-// the pre-optimization code, so they cannot be regenerated — the file
-// is the durable half of the before/after pair.
-func (r *Report) MergeNotes(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var notes []Optimization
-	if err := json.Unmarshal(b, &notes); err != nil {
-		return fmt.Errorf("loadgen: notes %s: %w", path, err)
-	}
-	r.Optimizations = append(r.Optimizations, notes...)
-	return nil
 }
 
 // Write renders the report as indented JSON.

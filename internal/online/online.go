@@ -29,68 +29,19 @@ import (
 	"corun/internal/workload"
 )
 
-// Policy names the per-epoch scheduling policy. It is a canonical name
-// from the internal/policy registry — the single source of truth for
-// which policies exist — so every registered planner (hcs+, hcs,
-// optimal, anneal, genetic, ...) can serve epochs, while the Random
-// and Default names keep the paper's dispatcher-driven baseline
-// semantics (section VI-A) rather than their planned registry forms.
-type Policy string
-
-// The paper's serving policies. Any other registered policy name is
-// equally valid; these constants exist for the common cases and
-// backwards compatibility.
+// The paper's serving policies, as registry names. Options.Policy
+// takes any name registered in internal/policy (canonical or alias);
+// these constants exist for the common cases.
 const (
 	// PolicyHCSPlus plans each epoch with HCS plus refinement.
-	PolicyHCSPlus Policy = "hcs+"
+	PolicyHCSPlus = "hcs+"
 	// PolicyHCS plans with plain HCS.
-	PolicyHCS Policy = "hcs"
+	PolicyHCS = "hcs"
 	// PolicyRandom dispatches each epoch with the Random baseline.
-	PolicyRandom Policy = "random"
+	PolicyRandom = "random"
 	// PolicyDefault dispatches each epoch with the Default baseline.
-	PolicyDefault Policy = "default"
+	PolicyDefault = "default"
 )
-
-// String implements fmt.Stringer.
-func (p Policy) String() string { return string(p) }
-
-// Canonical resolves the policy through the registry to its canonical
-// name (aliases and case differences collapse). Unknown names are an
-// error listing every registered policy.
-func (p Policy) Canonical() (Policy, error) {
-	name, err := policy.Canonical(string(p))
-	if err != nil {
-		return "", err
-	}
-	return Policy(name), nil
-}
-
-// Valid reports whether p names a registered policy. Callers accepting
-// policy values from the outside (flags, HTTP requests) should check
-// this rather than letting an unknown value surface as a mid-epoch
-// scheduling error.
-func (p Policy) Valid() error {
-	_, err := p.Canonical()
-	return err
-}
-
-// Policies returns every registered policy by canonical name, sorted.
-func Policies() []Policy {
-	names := policy.Names()
-	out := make([]Policy, len(names))
-	for i, n := range names {
-		out[i] = Policy(n)
-	}
-	return out
-}
-
-// ParsePolicy resolves a policy name through the registry (canonical
-// names and aliases, case-insensitive) to its canonical Policy value.
-// Unknown names are an error listing every registered policy, never a
-// silent default — API layers turn this into a 400.
-func ParsePolicy(s string) (Policy, error) {
-	return Policy(s).Canonical()
-}
 
 // Arrival is one job arriving at the server.
 type Arrival struct {
@@ -125,13 +76,15 @@ type Options struct {
 	// execution alongside Cap.
 	Domains apu.DomainCaps
 
-	Policy Policy
+	// Policy names the per-epoch scheduling policy in the
+	// internal/policy registry (canonical name or alias).
+	Policy string
 	// Seed drives the Random policy and refinement sampling.
 	Seed int64
 
 	// Planned, if set, observes each epoch's plan after scheduling but
-	// before execution. plan is nil for the dispatcher-driven baselines
-	// (Random/Default); predicted is the model's makespan estimate for
+	// before execution. plan is nil for a dispatcher (the Random and
+	// Default baselines); predicted is the model's makespan estimate for
 	// the planned schedule (0 without a plan). A daemon uses this to
 	// expose in-flight state (job status, predicted finish) while the
 	// epoch executes.
@@ -147,29 +100,33 @@ type Options struct {
 
 // Validate checks the options themselves (not an arrival stream):
 // machine and memory models must be present, the policy must be a
-// defined one, model-based policies need a characterization, and the
-// cap must be non-negative.
+// registered one, a policy that reads the predictive model needs a
+// characterization, and the cap must be non-negative.
 func (o Options) Validate() error {
+	_, err := o.resolve()
+	return err
+}
+
+// resolve validates the options and returns their policy, resolved
+// through the registry.
+func (o Options) resolve() (policy.Policy, error) {
 	if o.Cfg == nil || o.Mem == nil {
-		return fmt.Errorf("online: nil machine or memory model")
+		return nil, fmt.Errorf("online: nil machine or memory model")
 	}
-	pol, err := o.Policy.Canonical()
+	p, err := policy.Parse(o.Policy)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if o.Cap < 0 {
-		return fmt.Errorf("online: negative power cap %v", o.Cap)
+		return nil, fmt.Errorf("online: negative power cap %v", o.Cap)
 	}
 	if err := o.Cfg.CheckCaps(o.Cap, o.Domains); err != nil {
-		return err
+		return nil, err
 	}
-	// Every policy except the dispatcher-driven Random baseline plans
-	// over the predictive model and therefore needs the offline
-	// characterization.
-	if pol != PolicyRandom && o.Char == nil {
-		return fmt.Errorf("online: model-based policies need a characterization")
+	if policy.NeedsModel(p) && o.Char == nil {
+		return nil, fmt.Errorf("online: model-based policies need a characterization")
 	}
-	return nil
+	return p, nil
 }
 
 // JobOutcome records one served job.
@@ -233,10 +190,7 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 	next := 0
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	for next < len(sorted) || clock < res.Done {
-		if next >= len(sorted) {
-			break
-		}
+	for next < len(sorted) {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -305,9 +259,9 @@ func ServeContext(ctx context.Context, opts Options, arrivals []Arrival) (*Resul
 	return res, nil
 }
 
-// Epoch is the outcome of one scheduling round: the plan (nil for the
-// dispatcher-driven baselines), the model's predicted makespan for
-// that plan (0 without one), and the ground-truth simulation result.
+// Epoch is the outcome of one scheduling round: the plan (nil for a
+// dispatcher), the model's predicted makespan for that plan (0 without
+// one), and the ground-truth simulation result.
 type Epoch struct {
 	Plan      *core.Schedule
 	Predicted units.Seconds
@@ -319,69 +273,54 @@ type Epoch struct {
 // the building block a long-running daemon drives directly: it owns
 // the queue and the clock, and calls PlanEpoch once per round.
 //
-// The Random and Default names run the paper's dispatcher-driven
-// baselines; every other name resolves through the policy registry,
-// plans a schedule over the (memoized) predictive model, and executes
-// that plan.
+// The policy resolves once through the registry. A policy that reads
+// the model gets the batch's (memoized) predictive oracle; a
+// dispatcher then executes the batch directly, and a planner's plan is
+// evaluated on the model and executed.
 func PlanEpoch(opts Options, batch []*workload.Instance, seed int64) (*Epoch, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	pol, err := opts.Policy.Canonical()
+	p, err := opts.resolve()
 	if err != nil {
 		return nil, err
 	}
 	execOpts := core.ExecOptions{Cfg: opts.Cfg, Mem: opts.Mem, Cap: opts.Cap, Domains: opts.Domains}
-	switch pol {
-	case PolicyRandom:
-		if opts.Planned != nil {
-			opts.Planned(nil, 0)
-		}
-		res, err := core.ExecuteRandom(execOpts, batch, seed, sim.GPUBiased)
-		if err != nil {
+	popts := policy.Options{Seed: seed}
+	var pred core.Oracle
+	if policy.NeedsModel(p) {
+		if pred, err = epochOracle(opts, batch); err != nil {
 			return nil, err
 		}
-		return &Epoch{Result: res}, nil
-	case PolicyDefault:
-		pred, err := epochOracle(opts, batch)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Planned != nil {
-			opts.Planned(nil, 0)
-		}
-		res, err := core.ExecuteDefault(execOpts, batch, pred, sim.GPUBiased)
-		if err != nil {
-			return nil, err
-		}
-		return &Epoch{Result: res}, nil
-	default:
-		pred, err := epochOracle(opts, batch)
-		if err != nil {
-			return nil, err
-		}
-		cx, err := core.NewContext(pred, opts.Cfg, opts.Cap)
-		if err != nil {
-			return nil, err
-		}
-		cx.Domains = opts.Domains // before the first query: the memos assume fixed caps
-		plan, err := policy.Plan(string(pol), cx, policy.Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		predicted, err := cx.PredictedMakespan(plan)
-		if err != nil {
-			return nil, err
-		}
-		if opts.Planned != nil {
-			opts.Planned(plan.Clone(), predicted)
-		}
-		res, err := cx.Execute(plan, batch, execOpts)
-		if err != nil {
-			return nil, err
-		}
-		return &Epoch{Plan: plan, Predicted: predicted, Result: res}, nil
 	}
+	if d, ok := p.(policy.Dispatcher); ok {
+		if opts.Planned != nil {
+			opts.Planned(nil, 0)
+		}
+		res, err := d.Dispatch(execOpts, batch, pred, popts)
+		if err != nil {
+			return nil, err
+		}
+		return &Epoch{Result: res}, nil
+	}
+	cx, err := core.NewContext(pred, opts.Cfg, opts.Cap)
+	if err != nil {
+		return nil, err
+	}
+	cx.Domains = opts.Domains // before the first query: the memos assume fixed caps
+	plan, err := policy.PlanWith(p, cx, popts)
+	if err != nil {
+		return nil, err
+	}
+	predicted, err := cx.PredictedMakespan(plan)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Planned != nil {
+		opts.Planned(plan.Clone(), predicted)
+	}
+	res, err := cx.Execute(plan, batch, execOpts)
+	if err != nil {
+		return nil, err
+	}
+	return &Epoch{Plan: plan, Predicted: predicted, Result: res}, nil
 }
 
 // epochOracle assembles the epoch's predictive oracle: profile the

@@ -23,7 +23,11 @@ var (
 	charErr  error
 )
 
-func testOptions(t testing.TB, policy Policy) Options {
+// Policy types the policy column of the table-driven epoch tests
+// (golden_test.go, identity_test.go): a registry name.
+type Policy = string
+
+func testOptions(t testing.TB, policy string) Options {
 	t.Helper()
 	cfg := apu.DefaultConfig()
 	mem := memsys.Default()
@@ -174,7 +178,7 @@ func TestSparseArrivals(t *testing.T) {
 		{At: 0, Prog: prog, Scale: 1, Label: "a"},
 		{At: 500, Prog: prog, Scale: 1, Label: "b"},
 	}
-	for _, p := range []Policy{PolicyHCSPlus, PolicyRandom, PolicyDefault} {
+	for _, p := range []string{PolicyHCSPlus, PolicyRandom, PolicyDefault} {
 		r, err := Serve(testOptions(t, p), as)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -188,16 +192,6 @@ func TestSparseArrivals(t *testing.T) {
 				t.Errorf("%v: job b started at %v before its arrival", p, o.Started)
 			}
 		}
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if PolicyHCSPlus.String() != "hcs+" || PolicyRandom.String() != "random" ||
-		PolicyHCS.String() != "hcs" || PolicyDefault.String() != "default" {
-		t.Error("policy names wrong")
-	}
-	if Policy("fifo").String() != "fifo" {
-		t.Error("unknown policy does not render its own name")
 	}
 }
 
@@ -220,39 +214,9 @@ func TestServePolicyHCS(t *testing.T) {
 
 // Unknown policies error cleanly.
 func TestServeUnknownPolicy(t *testing.T) {
-	opts := testOptions(t, Policy("fifo"))
+	opts := testOptions(t, "fifo")
 	if _, err := Serve(opts, []Arrival{{Prog: workload.MustByName("lud"), Scale: 1}}); err == nil {
 		t.Error("unknown policy accepted")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	cases := map[string]Policy{
-		"hcs+": PolicyHCSPlus, "HCSPLUS": PolicyHCSPlus, " hcs ": PolicyHCS,
-		"random": PolicyRandom, "Default": PolicyDefault,
-	}
-	for in, want := range cases {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "hcs++", "fifo", "42"} {
-		if _, err := ParsePolicy(bad); err == nil {
-			t.Errorf("ParsePolicy(%q) accepted", bad)
-		}
-	}
-	for _, p := range Policies() {
-		if err := p.Valid(); err != nil {
-			t.Errorf("%v invalid: %v", p, err)
-		}
-		rt, err := ParsePolicy(p.String())
-		if err != nil || rt != p {
-			t.Errorf("round trip %v -> %q -> %v, %v", p, p.String(), rt, err)
-		}
-	}
-	if err := Policy("fifo").Valid(); err == nil {
-		t.Error(`Policy("fifo") valid`)
 	}
 }
 
@@ -262,7 +226,7 @@ func TestOptionsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := opts
-	bad.Policy = Policy("fifo")
+	bad.Policy = "fifo"
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown policy validated")
 	}

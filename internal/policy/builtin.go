@@ -2,11 +2,13 @@ package policy
 
 import (
 	"corun/internal/core"
+	"corun/internal/sim"
+	"corun/internal/workload"
 )
 
-// planner is the registry's builtin implementation: a named plan
-// function. Custom policies outside this package implement Policy
-// directly.
+// planner is the registry's builtin Planner: a named plan function.
+// Custom policies outside this package implement Planner or
+// Dispatcher directly.
 type planner struct {
 	name string
 	desc string
@@ -17,6 +19,22 @@ func (p *planner) Name() string     { return p.name }
 func (p *planner) Describe() string { return p.desc }
 func (p *planner) Plan(cx *core.Context, opts Options) (*core.Schedule, error) {
 	return p.plan(cx, opts)
+}
+
+// dispatcher is the registry's builtin Dispatcher: a named run
+// function, plus whether it reads the predictive model.
+type dispatcher struct {
+	name  string
+	desc  string
+	model bool
+	run   func(exec core.ExecOptions, batch []*workload.Instance, o core.Oracle, opts Options) (*sim.Result, error)
+}
+
+func (d *dispatcher) Name() string     { return d.name }
+func (d *dispatcher) Describe() string { return d.desc }
+func (d *dispatcher) NeedsModel() bool { return d.model }
+func (d *dispatcher) Dispatch(exec core.ExecOptions, batch []*workload.Instance, o core.Oracle, opts Options) (*sim.Result, error) {
+	return d.run(exec, batch, o, opts)
 }
 
 // The paper's policy family registers at init; adding a policy is one
@@ -71,23 +89,23 @@ func init() {
 			return s, err
 		},
 	}, "metaheuristic")
-	Register(&planner{
+	// The paper's baselines (section VI-A) dispatch at run time, with
+	// the cap enforced by the GPU-biased reactive governor as in its
+	// comparison. Random reads no model, so it needs neither a
+	// characterization nor a profiling pass.
+	Register(&dispatcher{
 		name: "random",
-		desc: "Random baseline plan: seeded random placement and order",
-		plan: func(cx *core.Context, opts Options) (*core.Schedule, error) {
-			return core.RandomPlan(cx.Oracle.NumJobs(), opts.Seed), nil
+		desc: "Random baseline (section VI-A), dispatched at run time: an idle device takes a random remaining job or waits; GPU-biased governor",
+		run: func(exec core.ExecOptions, batch []*workload.Instance, _ core.Oracle, opts Options) (*sim.Result, error) {
+			return core.ExecuteRandom(exec, batch, opts.Seed, sim.GPUBiased)
 		},
 	})
-	Register(&planner{
-		name: "default",
-		desc: "Default baseline plan: ranking partition, sequential per-device queues",
-		plan: func(cx *core.Context, opts Options) (*core.Schedule, error) {
-			cpu, gpu := core.DefaultPartition(cx.Oracle, cx.Cfg)
-			return &core.Schedule{
-				CPUOrder:  cpu,
-				GPUOrder:  gpu,
-				Exclusive: map[int]bool{},
-			}, nil
+	Register(&dispatcher{
+		name:  "default",
+		desc:  "Default baseline (section VI-A), dispatched at run time: ranking partition, CPU multiprogramming; GPU-biased governor",
+		model: true,
+		run: func(exec core.ExecOptions, batch []*workload.Instance, o core.Oracle, _ Options) (*sim.Result, error) {
+			return core.ExecuteDefault(exec, batch, o, sim.GPUBiased)
 		},
-	})
+	}, "default-gpu")
 }

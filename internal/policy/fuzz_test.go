@@ -29,7 +29,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("   ")
 	f.Add("hcs++")
 	f.Add("hcs plus")
-	f.Add("default-gpu") // dispatcher baseline name, not a planned policy
+	f.Add("default-gpu") // alias of the default dispatcher
 	f.Add("Optimal\n")
 
 	f.Fuzz(func(t *testing.T, name string) {

@@ -2,10 +2,12 @@ package policy_test
 
 // Shared fixtures: the one-time characterization pass plus builders
 // for the prediction pipeline and scheduling contexts, used by the
-// registry tests, the -race engine test, and the cached-vs-uncached
+// registry tests, the -race planning test, and the cached-vs-uncached
 // benchmarks alike.
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"corun/internal/memsys"
 	"corun/internal/model"
 	"corun/internal/profile"
+	"corun/internal/sim"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -78,6 +81,23 @@ func contextOver(tb testing.TB, o core.Oracle) *core.Context {
 		tb.Fatal(err)
 	}
 	return cx
+}
+
+// testExec is the execution setup under the test cap.
+func testExec(tb testing.TB) core.ExecOptions {
+	tb.Helper()
+	cfg, mem, _ := characterize(tb)
+	return core.ExecOptions{Cfg: cfg, Mem: mem, Cap: testCap}
+}
+
+// simOutcome is what a dispatcher's run is compared on: the bits of
+// its makespan and energy, and its completion order.
+func simOutcome(r *sim.Result) string {
+	s := fmt.Sprintf("%#x %#x", math.Float64bits(float64(r.Makespan)), math.Float64bits(r.EnergyJ))
+	for _, c := range r.Completions {
+		s += fmt.Sprintf(" %d%v", c.Inst.ID, c.Dev)
+	}
+	return s
 }
 
 // testBatch is the 6-job planning batch used across the tests: small

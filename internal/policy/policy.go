@@ -6,8 +6,12 @@
 // The paper's contribution is a family of interchangeable policies
 // (HCS, HCS+, the optimal bound, the Random/Default baselines)
 // evaluated under one predictive model; this package makes that family
-// a first-class extension point. A new policy is a one-file change:
-// implement Policy and call Register from an init function.
+// a first-class extension point. A registry entry either plans or
+// dispatches: a Planner produces a co-schedule over the predictive
+// model that is then executed as planned, while a Dispatcher places
+// jobs at run time, as the paper's Random and Default baselines do
+// (section VI-A). A new policy is a one-file change: implement Planner
+// or Dispatcher and call Register from an init function.
 //
 // The registry stores each policy under a canonical name plus optional
 // aliases; Parse normalizes case and whitespace and rejects unknown
@@ -23,20 +27,22 @@ import (
 
 	"corun/internal/core"
 	"corun/internal/fault"
+	"corun/internal/sim"
+	"corun/internal/workload"
 )
 
 // SitePlan is the failpoint (internal/fault) checked on every plan
-// request that resolves through the registry — both the one-shot Plan
-// and Engine.Plan — against the fault.Default registry. Arming it
-// injects planning failures or latency (a planning-epoch overrun)
-// into every front end at once.
+// request that resolves through the registry (Plan and PlanWith)
+// against the fault.Default registry. Arming it injects planning
+// failures or latency (a planning-epoch overrun) into every front end
+// at once. Dispatchers make no plan and do not check it.
 const SitePlan = "policy/plan"
 
 // Options passes per-plan knobs to a policy. The zero value is a valid
 // default for every registered policy.
 type Options struct {
 	// Seed drives the stochastic parts: refinement sampling in hcs+,
-	// the metaheuristic searches, and the random baseline plan.
+	// the metaheuristic searches, and the Random dispatcher.
 	Seed int64
 
 	// HCS tunes the heuristic steps of the hcs/hcs+ policies (and the
@@ -48,18 +54,47 @@ type Options struct {
 	Workers int
 }
 
-// Policy plans a co-schedule for a prepared scheduling context. A
-// Policy must be safe for concurrent Plan calls: all per-batch state
-// lives in the Context (whose memo tables are lock-guarded), never in
-// the Policy value itself.
+// Policy is one registry entry. Every entry is either a Planner or a
+// Dispatcher, never both; Register enforces that. An entry must be
+// safe for concurrent use: all per-batch state lives in the Context
+// (whose memo tables are lock-guarded) or in the call, never in the
+// Policy value itself.
 type Policy interface {
 	// Name is the canonical, lower-case registry name.
 	Name() string
+}
+
+// Planner is a policy that plans a co-schedule for a prepared
+// scheduling context; the caller executes the plan.
+type Planner interface {
+	Policy
 
 	// Plan produces a schedule for the context's batch. Implementations
 	// must not retain or mutate the context beyond its documented
 	// thread-safe query surface.
 	Plan(cx *core.Context, opts Options) (*core.Schedule, error)
+}
+
+// Dispatcher is a policy that makes no plan: it executes the batch on
+// the simulated machine and picks each job when a device goes idle.
+type Dispatcher interface {
+	Policy
+
+	// NeedsModel reports whether Dispatch reads the predictive model.
+	// When it does not, callers skip profiling and pass a nil oracle.
+	NeedsModel() bool
+
+	// Dispatch executes the batch. o is the batch's predictive oracle,
+	// or nil when NeedsModel is false.
+	Dispatch(exec core.ExecOptions, batch []*workload.Instance, o core.Oracle, opts Options) (*sim.Result, error)
+}
+
+// NeedsModel reports whether p reads the predictive model, and so
+// whether a caller must profile the batch and hold a characterization
+// before using it. Every Planner does.
+func NeedsModel(p Policy) bool {
+	d, ok := p.(Dispatcher)
+	return !ok || d.NeedsModel()
 }
 
 // Describer is optionally implemented by a Policy to expose a one-line
@@ -103,6 +138,11 @@ func Register(p Policy, aliases ...string) {
 	name := normalize(p.Name())
 	if name == "" {
 		panic("policy: Register with empty name")
+	}
+	_, plans := p.(Planner)
+	_, dispatches := p.(Dispatcher)
+	if plans == dispatches {
+		panic(fmt.Sprintf("policy: %q must be exactly one of Planner and Dispatcher", name))
 	}
 	registry.Lock()
 	defer registry.Unlock()
@@ -188,8 +228,18 @@ func Plan(name string, cx *core.Context, opts Options) (*core.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
+	return PlanWith(p, cx, opts)
+}
+
+// PlanWith plans cx's batch with a resolved policy. A Dispatcher has
+// no plan to give, which is an error.
+func PlanWith(p Policy, cx *core.Context, opts Options) (*core.Schedule, error) {
+	pl, ok := p.(Planner)
+	if !ok {
+		return nil, fmt.Errorf("policy: %s dispatches jobs at run time and makes no plan", p.Name())
+	}
 	if err := fault.Default.Hit(SitePlan); err != nil {
 		return nil, err
 	}
-	return p.Plan(cx, opts)
+	return pl.Plan(cx, opts)
 }

@@ -8,6 +8,8 @@ import (
 	"corun/internal/core"
 	"corun/internal/model"
 	"corun/internal/policy"
+	"corun/internal/sim"
+	"corun/internal/workload"
 )
 
 func TestNamesCoverThePaperFamily(t *testing.T) {
@@ -57,11 +59,24 @@ func TestParseUnknownListsEveryValidName(t *testing.T) {
 	}
 }
 
-// stub is a minimal Policy for registration-collision tests.
+// stub is a minimal Planner for registration-collision tests.
 type stub struct{ name string }
 
 func (s *stub) Name() string { return s.name }
 func (s *stub) Plan(*core.Context, policy.Options) (*core.Schedule, error) {
+	return nil, nil
+}
+
+// named is a Policy that neither plans nor dispatches.
+type named string
+
+func (n named) Name() string { return string(n) }
+
+// both is a Policy that claims to plan and to dispatch.
+type both struct{ stub }
+
+func (both) NeedsModel() bool { return false }
+func (both) Dispatch(core.ExecOptions, []*workload.Instance, core.Oracle, policy.Options) (*sim.Result, error) {
 	return nil, nil
 }
 
@@ -79,6 +94,33 @@ func TestRegisterRejectsCollisionsAndNil(t *testing.T) {
 	mustPanic("empty name", func() { policy.Register(&stub{name: "  "}) })
 	mustPanic("duplicate canonical name", func() { policy.Register(&stub{name: "hcs"}) })
 	mustPanic("name colliding with an alias", func() { policy.Register(&stub{name: "HCSPlus"}) })
+	mustPanic("neither planner nor dispatcher", func() { policy.Register(named("inert")) })
+	mustPanic("planner and dispatcher", func() { policy.Register(&both{stub{name: "twofaced"}}) })
+}
+
+// The paper's baselines are dispatchers; every other builtin plans.
+// Only Random runs without the predictive model.
+func TestRegistryRecordsPlanOrDispatch(t *testing.T) {
+	for _, name := range policy.Names() {
+		p, err := policy.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, dispatches := p.(policy.Dispatcher)
+		if want := name == "random" || name == "default"; dispatches != want {
+			t.Errorf("%s: dispatches = %v, want %v", name, dispatches, want)
+		}
+		if got, want := policy.NeedsModel(p), name != "random"; got != want {
+			t.Errorf("%s: NeedsModel = %v, want %v", name, got, want)
+		}
+	}
+	if c, err := policy.Canonical("Default-GPU"); err != nil || c != "default" {
+		t.Errorf(`Canonical("Default-GPU") = %q, %v, want "default"`, c, err)
+	}
+	cx := contextOver(t, predictorFor(t, testBatch(t)))
+	if _, err := policy.Plan("random", cx, policy.Options{}); err == nil {
+		t.Error("Plan of a dispatcher succeeded")
+	}
 }
 
 func TestListDescribesEveryPolicy(t *testing.T) {
@@ -101,42 +143,37 @@ func TestListDescribesEveryPolicy(t *testing.T) {
 	}
 }
 
-func TestEngineResolvesThroughRegistry(t *testing.T) {
-	if _, err := policy.NewEngine(nil); err == nil {
-		t.Error("NewEngine(nil) succeeded")
-	}
+func TestPlanResolvesThroughRegistry(t *testing.T) {
 	batch := testBatch(t)
-	pred := predictorFor(t, batch)
-	eng, err := policy.NewEngine(contextOver(t, pred))
-	if err != nil {
-		t.Fatal(err)
+	cx := contextOver(t, predictorFor(t, batch))
+	if _, err := policy.Plan("bogus", cx, policy.Options{}); err == nil {
+		t.Error("Plan of an unknown name succeeded")
 	}
-	if _, err := eng.Plan("bogus", policy.Options{}); err == nil {
-		t.Error("Engine.Plan of an unknown name succeeded")
-	}
-	plan, err := eng.Plan("hcsplus", policy.Options{Seed: 7})
+	plan, err := policy.Plan("hcsplus", cx, policy.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := plan.Validate(len(batch)); err != nil {
 		t.Fatal(err)
 	}
-	direct, err := policy.Plan("hcs+", eng.Context(), policy.Options{Seed: 7})
+	p, err := policy.Parse("hcs+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := policy.PlanWith(p, cx, policy.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plan, direct) {
-		t.Errorf("engine plan %v differs from direct plan %v", plan, direct)
-	}
-	if _, err := eng.PredictedMakespan(plan); err != nil {
-		t.Fatal(err)
+		t.Errorf("alias plan %v differs from resolved plan %v", plan, direct)
 	}
 }
 
 // TestCachedPredictorMatchesUncachedBitForBit is the acceptance
 // criterion of the memoized prediction layer: for every registered
 // policy, planning over a model.CachedPredictor must produce exactly
-// the schedule and predicted makespan of the uncached predictor.
+// the schedule and predicted makespan of the uncached predictor, and
+// dispatching over it exactly the simulated result.
 func TestCachedPredictorMatchesUncachedBitForBit(t *testing.T) {
 	batch := testBatch(t)
 	pred := predictorFor(t, batch)
@@ -146,6 +183,24 @@ func TestCachedPredictorMatchesUncachedBitForBit(t *testing.T) {
 	}
 	for _, name := range policy.Names() {
 		opts := policy.Options{Seed: 7}
+		p, err := policy.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, ok := p.(policy.Dispatcher); ok {
+			want, err := d.Dispatch(testExec(t), batch, pred, opts)
+			if err != nil {
+				t.Fatalf("%s uncached: %v", name, err)
+			}
+			got, err := d.Dispatch(testExec(t), batch, cached, opts)
+			if err != nil {
+				t.Fatalf("%s cached: %v", name, err)
+			}
+			if w, g := simOutcome(want), simOutcome(got); w != g {
+				t.Errorf("%s: cached dispatch %s differs from uncached %s", name, g, w)
+			}
+			continue
+		}
 		raw := contextOver(t, pred)
 		memo := contextOver(t, cached)
 		want, err := policy.Plan(name, raw, opts)

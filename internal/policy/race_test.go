@@ -1,13 +1,14 @@
 package policy_test
 
-// Concurrency test for the shared scheduling engine, written to run
-// under `go test -race` (part of `make verify`), mirroring the style of
-// internal/server/race_test.go: many goroutines plan every registered
-// policy through one engine whose context sits on one shared
-// model.CachedPredictor, while others evaluate makespans. Beyond the
-// absence of data races, each policy must return the same plan to
-// every goroutine — the memo tables may reorder work but never change
-// an answer.
+// Concurrency test for shared scheduling state, written to run under
+// `go test -race` (part of `make verify`), mirroring the style of
+// internal/server/race_test.go: many goroutines run every registered
+// policy on one shared scheduling context whose oracle is one shared
+// model.CachedPredictor — planners through policy.Plan, dispatchers
+// (which read the same oracle) through Dispatch — while others
+// evaluate makespans. Beyond the absence of data races, each policy
+// must return the same answer to every goroutine — the memo tables
+// may reorder work but never change an answer.
 
 import (
 	"fmt"
@@ -25,23 +26,41 @@ func TestEngineConcurrentPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := policy.NewEngine(contextOver(t, cached))
-	if err != nil {
-		t.Fatal(err)
+	cx := contextOver(t, cached)
+	exec := testExec(t)
+
+	// run plans (or dispatches) one policy and renders its answer.
+	run := func(name string) (string, error) {
+		p, err := policy.Parse(name)
+		if err != nil {
+			return "", err
+		}
+		if d, ok := p.(policy.Dispatcher); ok {
+			res, err := d.Dispatch(exec, batch, cx.Oracle, policy.Options{Seed: 7})
+			if err != nil {
+				return "", err
+			}
+			return simOutcome(res), nil
+		}
+		plan, err := policy.Plan(name, cx, policy.Options{Seed: 7})
+		if err != nil {
+			return "", err
+		}
+		ms, err := cx.PredictedMakespan(plan)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%v @ %v", plan, ms), nil
 	}
 
-	// Serial reference answers, planned before any concurrency starts.
+	// Serial reference answers, computed before any concurrency starts.
 	want := map[string]string{}
 	for _, name := range policy.Names() {
-		plan, err := eng.Plan(name, policy.Options{Seed: 7})
+		got, err := run(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ms, err := eng.PredictedMakespan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[name] = fmt.Sprintf("%v @ %v", plan, ms)
+		want[name] = got
 	}
 
 	const planners = 4
@@ -51,18 +70,13 @@ func TestEngineConcurrentPlanning(t *testing.T) {
 			wg.Add(1)
 			go func(name string) {
 				defer wg.Done()
-				plan, err := eng.Plan(name, policy.Options{Seed: 7})
+				got, err := run(name)
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 					return
 				}
-				ms, err := eng.PredictedMakespan(plan)
-				if err != nil {
-					t.Errorf("%s: %v", name, err)
-					return
-				}
-				if got := fmt.Sprintf("%v @ %v", plan, ms); got != want[name] {
-					t.Errorf("%s: concurrent plan %s, serial reference %s", name, got, want[name])
+				if got != want[name] {
+					t.Errorf("%s: concurrent answer %s, serial reference %s", name, got, want[name])
 				}
 			}(name)
 		}

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"corun/internal/admission"
-	"corun/internal/online"
 	"corun/internal/policy"
 	"corun/internal/units"
 	"corun/internal/workload"
@@ -91,10 +90,13 @@ func (s *Server) retryHeader(w http.ResponseWriter) {
 // degraded or a write failed past its retries).
 func (s *Server) shedErr(w http.ResponseWriter, err error) {
 	s.retryHeader(w)
-	writeErr(w, http.StatusServiceUnavailable, err)
+	WriteErr(w, http.StatusServiceUnavailable, err)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the indented JSON body of a response with the
+// given status. It is the one response encoder of the daemon's and the
+// fleet coordinator's APIs.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -102,8 +104,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// WriteErr writes err as a {"error": "..."} JSON body with the given
+// status.
+func WriteErr(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -115,18 +119,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var err error
 	buf.b, err = readBody(http.MaxBytesReader(w, r.Body, 1<<20), buf.b)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	spec, err := workload.DecodeJobSpecBytes(buf.b)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	job, err := s.submit(spec)
 	switch {
 	case errors.Is(err, ErrDraining):
-		writeErr(w, http.StatusServiceUnavailable, err)
+		WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrDegraded), errors.Is(err, ErrJournal):
 		// The job was NOT acknowledged: its durability could not be
@@ -144,7 +148,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var full *admission.FullError
 		if errors.As(err, &full) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.tenantRetryAfterSeconds(full.Tenant)))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 				"error":  err.Error(),
 				"bound":  full.Scope,
 				"tenant": full.Tenant,
@@ -153,10 +157,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.retryHeader(w)
-		writeErr(w, http.StatusTooManyRequests, err)
+		WriteErr(w, http.StatusTooManyRequests, err)
 		return
 	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	out := appendJobJSON(buf.b[:0], job)
@@ -171,7 +175,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobs(w http.ResponseWriter, _ *http.Request) {
 	body, err := s.jobsJSON()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -183,7 +187,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j := s.jobRef(id)
 	if j == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server: unknown job %q", id))
+		WriteErr(w, http.StatusNotFound, fmt.Errorf("server: unknown job %q", id))
 		return
 	}
 	// Encode straight off the immutable snapshot — no copy, no
@@ -201,7 +205,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 	pv := s.lastPlan.Load()
 	if pv == nil {
-		writeErr(w, http.StatusNotFound, errors.New("server: no epoch has been planned yet"))
+		WriteErr(w, http.StatusNotFound, errors.New("server: no epoch has been planned yet"))
 		return
 	}
 	// Stored PlanViews are immutable, so the encoded body is cached by
@@ -212,7 +216,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
 		enc := json.NewEncoder(&bb)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(pv); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			WriteErr(w, http.StatusInternalServerError, err)
 			return
 		}
 		c = &planCacheEntry{pv: pv, body: bb.Bytes()}
@@ -233,7 +237,7 @@ func (s *Server) capBody() map[string]float64 {
 }
 
 func (s *Server) handleGetCap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.capBody())
+	WriteJSON(w, http.StatusOK, s.capBody())
 }
 
 func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
@@ -245,7 +249,7 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil || (req.CapWatts == nil && req.PP0Watts == nil && req.PP1Watts == nil) {
-		writeErr(w, http.StatusBadRequest, errors.New(`server: body must set at least one of {"cap_watts", "pp0_watts", "pp1_watts"} (0 = uncapped)`))
+		WriteErr(w, http.StatusBadRequest, errors.New(`server: body must set at least one of {"cap_watts", "pp0_watts", "pp1_watts"} (0 = uncapped)`))
 		return
 	}
 	// Absent fields keep their current value, so a package-only client
@@ -267,18 +271,18 @@ func (s *Server) handleSetCap(w http.ResponseWriter, r *http.Request) {
 			s.shedErr(w, err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.capBody())
+	WriteJSON(w, http.StatusOK, s.capBody())
 }
 
 // handlePolicies lists the policy registry — the set a POST /v1/policy
 // hot-swap accepts — plus the currently active policy.
 func (s *Server) handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"policies": policy.List(),
-		"active":   s.Policy().String(),
+		"active":   s.Policy(),
 	})
 }
 
@@ -289,12 +293,12 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, errors.New(`server: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
+		WriteErr(w, http.StatusBadRequest, errors.New(`server: body must be {"policy": "<name>"}; GET /v1/policies lists the registered names`))
 		return
 	}
-	p, err := online.ParsePolicy(req.Policy)
+	p, err := policy.Canonical(req.Policy)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.SetPolicy(p); err != nil {
@@ -302,10 +306,10 @@ func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
 			s.shedErr(w, err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, err)
+		WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"policy": p.String()})
+	WriteJSON(w, http.StatusOK, map[string]string{"policy": p})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +326,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // readyStatus is the /readyz JSON body. Beyond the gate status it
@@ -349,7 +353,7 @@ func (s *Server) readyStatus(status string) readyStatus {
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	switch {
 	case s.Draining():
-		writeJSON(w, http.StatusServiceUnavailable, s.readyStatus("draining"))
+		WriteJSON(w, http.StatusServiceUnavailable, s.readyStatus("draining"))
 	case s.Degraded():
 		// Alive but shedding: the journal breaker is open (or probing),
 		// so new work cannot be durably acknowledged. Reported on
@@ -357,10 +361,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		// restarting the pod — recovery is automatic once a probe
 		// write succeeds.
 		s.retryHeader(w)
-		writeJSON(w, http.StatusServiceUnavailable, s.readyStatus("degraded"))
+		WriteJSON(w, http.StatusServiceUnavailable, s.readyStatus("degraded"))
 	case !s.Ready():
-		writeJSON(w, http.StatusServiceUnavailable, s.readyStatus("starting"))
+		WriteJSON(w, http.StatusServiceUnavailable, s.readyStatus("starting"))
 	default:
-		writeJSON(w, http.StatusOK, s.readyStatus("ready"))
+		WriteJSON(w, http.StatusOK, s.readyStatus("ready"))
 	}
 }

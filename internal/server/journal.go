@@ -11,7 +11,6 @@ import (
 	"corun/internal/apu"
 	"corun/internal/fault"
 	"corun/internal/journal"
-	"corun/internal/online"
 	"corun/internal/units"
 	"corun/internal/workload"
 )
@@ -76,17 +75,13 @@ func (s *Server) openJournal() error {
 		}
 	}
 	if st.Policy != "" {
-		p, err := online.ParsePolicy(st.Policy)
+		p, err := s.checkPolicy(st.Policy)
 		if err != nil {
-			return fail(fmt.Errorf("server: recovered policy: %w", err))
-		}
-		probe := online.Options{Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char, Policy: p}
-		if err := probe.Validate(); err != nil {
 			return fail(fmt.Errorf("server: recovered policy: %w", err))
 		}
 		s.setPolicyNow(p)
 	} else {
-		if err := jl.Append(journal.Record{Type: journal.TypePolicyChanged, Policy: s.policyNow().String()}); err != nil {
+		if err := jl.Append(journal.Record{Type: journal.TypePolicyChanged, Policy: s.policyNow()}); err != nil {
 			return fail(err)
 		}
 	}

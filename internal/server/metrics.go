@@ -1,7 +1,7 @@
 package server
 
 import (
-	"corun/internal/online"
+	"corun/internal/policy"
 	"corun/internal/promtext"
 )
 
@@ -175,8 +175,8 @@ func newMetrics() *metrics {
 	}
 	// Pre-register every policy's series so dashboards see zeros
 	// instead of absent series before the first epoch.
-	for _, p := range online.Policies() {
-		m.scheduled.Add(p.String(), 0)
+	for _, p := range policy.Names() {
+		m.scheduled.Add(p, 0)
 	}
 	for _, d := range []string{"pp0", "pp1"} {
 		m.domainWatts.Set(d, 0)

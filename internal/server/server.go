@@ -63,6 +63,7 @@ import (
 	"corun/internal/memsys"
 	"corun/internal/model"
 	"corun/internal/online"
+	"corun/internal/policy"
 	"corun/internal/sim"
 	"corun/internal/trace"
 	"corun/internal/units"
@@ -87,7 +88,7 @@ var (
 )
 
 // The daemon's failpoint sites (internal/fault), in addition to the
-// journal's (journal.Site*) and the policy engine's (policy.SitePlan).
+// journal's (journal.Site*) and the policy registry's (policy.SitePlan).
 // SiteAdmit fires inside Submit before a job is admitted; SiteEpoch
 // fires at the top of each scheduling round, where an error fails the
 // batch (not the daemon) and a latency rule simulates a planning
@@ -125,8 +126,10 @@ type Config struct {
 	// changed live (POST /v1/cap) and are journaled/restored.
 	Domains apu.DomainCaps
 
-	// Policy plans each epoch; defaults to PolicyHCSPlus.
-	Policy online.Policy
+	// Policy names the epoch policy in the internal/policy registry
+	// (canonical name or alias; New stores the canonical name).
+	// Defaults to hcs+.
+	Policy string
 
 	// Seed drives refinement sampling and the Random policy.
 	Seed int64
@@ -389,7 +392,7 @@ type Server struct {
 	capBits   atomic.Uint64            // units.Watts
 	pp0Bits   atomic.Uint64            // units.Watts (0 = plane uncapped)
 	pp1Bits   atomic.Uint64            // units.Watts (0 = plane uncapped)
-	policyV   atomic.Pointer[string]   // online.Policy as string
+	policyV   atomic.Pointer[string]   // canonical registry name
 	simClock  atomic.Uint64            // units.Seconds
 	lastPlan  atomic.Pointer[PlanView] // immutable once stored
 	planCache atomic.Pointer[planCacheEntry]
@@ -433,8 +436,15 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	// Reuse the epoch scheduler's own option validation so the daemon
-	// rejects exactly what PlanEpoch would.
+	// Store the canonical name, so the journal, /v1/plan and the
+	// per-policy metric label never see an alias. Then reuse the epoch
+	// scheduler's own option validation so the daemon rejects exactly
+	// what PlanEpoch would.
+	canon, err := policy.Canonical(cfg.Policy)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Policy = canon
 	probe := online.Options{Cfg: cfg.Machine, Mem: cfg.Mem, Char: cfg.Char, Cap: cfg.Cap, Domains: cfg.Domains, Policy: cfg.Policy}
 	if err := probe.Validate(); err != nil {
 		return nil, err
@@ -578,12 +588,24 @@ func (s *Server) publishDomainCapGauges(dc apu.DomainCaps) {
 	s.m.domainCapWatts.Set("pp1", float64(dc.PP1))
 }
 
-func (s *Server) setPolicyNow(p online.Policy) {
-	str := string(p)
-	s.policyV.Store(&str)
-}
+func (s *Server) setPolicyNow(p string) { s.policyV.Store(&p) }
 
-func (s *Server) policyNow() online.Policy { return online.Policy(*s.policyV.Load()) }
+func (s *Server) policyNow() string { return *s.policyV.Load() }
+
+// checkPolicy resolves a policy name to its canonical registry name
+// and checks that this server can run it: a policy that reads the
+// predictive model needs the characterization.
+func (s *Server) checkPolicy(name string) (string, error) {
+	canon, err := policy.Canonical(name)
+	if err != nil {
+		return "", err
+	}
+	probe := online.Options{Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char, Policy: canon}
+	if err := probe.Validate(); err != nil {
+		return "", err
+	}
+	return canon, nil
+}
 
 func (s *Server) setClock(c units.Seconds) { s.simClock.Store(math.Float64bits(float64(c))) }
 
@@ -834,22 +856,24 @@ func capRecord(cap units.Watts, dc apu.DomainCaps) journal.Record {
 	return r
 }
 
-// Policy returns the active epoch policy.
-func (s *Server) Policy() online.Policy { return s.policyNow() }
+// Policy returns the active epoch policy's canonical name.
+func (s *Server) Policy() string { return s.policyNow() }
 
 // SetPolicy changes the epoch policy live; it applies from the next
-// epoch. Model-based policies require the server to hold a
-// characterization. The change is journaled before it is acknowledged
-// (or applied), so a restart restores it.
-func (s *Server) SetPolicy(p online.Policy) error {
-	probe := online.Options{Cfg: s.cfg.Machine, Mem: s.cfg.Mem, Char: s.cfg.Char, Policy: p}
-	if err := probe.Validate(); err != nil {
+// epoch. The name may be any registered spelling; the canonical name
+// is what is stored, journaled and reported. Model-based policies
+// require the server to hold a characterization. The change is
+// journaled before it is acknowledged (or applied), so a restart
+// restores it.
+func (s *Server) SetPolicy(name string) error {
+	p, err := s.checkPolicy(name)
+	if err != nil {
 		return err
 	}
 	s.ctlMu.Lock()
 	defer s.ctlMu.Unlock()
 	if s.jl != nil {
-		if err := s.appendDurable(journal.Record{Type: journal.TypePolicyChanged, Policy: p.String()}); err != nil {
+		if err := s.appendDurable(journal.Record{Type: journal.TypePolicyChanged, Policy: p}); err != nil {
 			if errors.Is(err, ErrDegraded) {
 				return err
 			}
@@ -1184,7 +1208,7 @@ func (s *Server) runEpoch(claimed []admission.Entry) {
 
 	s.m.epochs.Inc()
 	s.m.done.Add(float64(len(res.Completions)))
-	s.m.scheduled.Add(policy.String(), float64(len(res.Completions)))
+	s.m.scheduled.Add(policy, float64(len(res.Completions)))
 	s.m.energy.Add(res.EnergyJ)
 	s.m.simMakespan.Set(float64(res.Makespan))
 	s.m.simClock.Set(float64(endClock))
@@ -1281,10 +1305,10 @@ func (s *Server) finishEpochErr(batch []Job, epoch int, err error) {
 // pre-registered so dashboards see zeros instead of absent series.
 var bindingConstraints = []string{"none", "pp0", "pp1", "package", "thermal"}
 
-func newPlanView(epoch int, policy online.Policy, capW units.Watts, dc apu.DomainCaps, clock units.Seconds, batch []Job) PlanView {
+func newPlanView(epoch int, policy string, capW units.Watts, dc apu.DomainCaps, clock units.Seconds, batch []Job) PlanView {
 	pv := PlanView{
 		Epoch:       epoch,
-		Policy:      policy.String(),
+		Policy:      policy,
 		CapWatts:    float64(capW),
 		PP0CapWatts: float64(dc.PP0),
 		PP1CapWatts: float64(dc.PP1),

@@ -422,7 +422,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestBadRequests covers the API's 4xx paths, including the bad-policy
-// 400 that online.ParsePolicy enables.
+// 400 from the policy registry.
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -487,7 +487,7 @@ func TestListPolicies(t *testing.T) {
 	if want := policy.Names(); !reflect.DeepEqual(names, want) {
 		t.Errorf("policies %v, want %v", names, want)
 	}
-	if got.Active != s.Policy().String() {
+	if got.Active != s.Policy() {
 		t.Errorf("active %q, want %q", got.Active, s.Policy())
 	}
 	s.Drain()
@@ -535,12 +535,49 @@ func TestLiveCapAndPolicy(t *testing.T) {
 	<-s.Drained()
 }
 
+// TestPolicyAliasesStoredCanonical checks that an alias or an odd
+// spelling of a policy name is canonicalized once, on the way in: the
+// server reports, plans under and labels its metrics with the
+// canonical name only.
+func TestPolicyAliasesStoredCanonical(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Policy = "HCSPlus" })
+	if got := s.Policy(); got != "hcs+" {
+		t.Errorf("New(Policy: HCSPlus) stored %q, want hcs+", got)
+	}
+	if err := s.SetPolicy(" Random "); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Policy(); got != "random" {
+		t.Errorf(`SetPolicy(" Random ") stored %q, want random`, got)
+	}
+	s.Start(context.Background())
+	if _, err := s.Submit(mustSpec(t, "cfd")); err != nil {
+		t.Fatal(err)
+	}
+	waitAllTerminal(t, s, 1, 60*time.Second)
+	if plan, ok := s.Plan(); !ok || plan.Policy != "random" {
+		t.Errorf("plan policy %q (ok %v), want random", plan.Policy, ok)
+	}
+	var mbody strings.Builder
+	if err := s.WriteMetrics(&mbody); err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, mbody.String(), `corund_jobs_scheduled_total{policy="random"}`); v != 1 {
+		t.Errorf("scheduled{random} %v, want 1", v)
+	}
+	if strings.Contains(mbody.String(), `policy=" Random "`) {
+		t.Error("metrics carry the verbatim alias as a label")
+	}
+	s.Drain()
+	<-s.Drained()
+}
+
 // TestConfigValidation covers New's rejection paths.
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Policy: online.PolicyHCSPlus}); err == nil {
 		t.Error("model policy without characterization accepted")
 	}
-	if _, err := New(Config{Policy: online.Policy("fifo")}); err == nil {
+	if _, err := New(Config{Policy: "fifo"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
 	if _, err := New(Config{Policy: online.PolicyRandom, Cap: 0.5}); err == nil {
